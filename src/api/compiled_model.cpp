@@ -3,6 +3,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "common/fnv1a.h"
 #include "core/simd/simd.h"
 #include "nn/elementwise.h"
 #include "sim/partition.h"
@@ -15,30 +16,6 @@ namespace {
 /// the same input (policy/config studies) hit entry 0 forever; anything
 /// streaming distinct inputs just rotates through without growing.
 constexpr size_t kMaxRefCacheEntries = 4;
-
-class Fnv1a {
- public:
-  void bytes(const void* p, size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (size_t i = 0; i < n; ++i) {
-      h_ ^= b[i];
-      h_ *= 1099511628211ull;
-    }
-  }
-  void str(const std::string& s) {
-    const uint64_t n = s.size();
-    bytes(&n, sizeof(n));
-    bytes(s.data(), s.size());
-  }
-  template <typename T>
-  void pod(const T& v) {
-    bytes(&v, sizeof(v));
-  }
-  uint64_t value() const { return h_; }
-
- private:
-  uint64_t h_ = 1469598103934665603ull;
-};
 
 void check_compile_dims(const CompileOptions& opts) {
   if (opts.input_h <= 0 || opts.input_w <= 0) {
@@ -66,7 +43,7 @@ uint64_t model_fingerprint(const Model& model) {
     h.pod(l.filters.cin);
     h.pod(l.filters.kh);
     h.pod(l.filters.kw);
-    h.bytes(l.filters.data.data(), l.filters.data.size() * sizeof(double));
+    h.doubles(l.filters.data);
   }
   return h.value();
 }
@@ -167,8 +144,10 @@ CompiledModel CompiledModel::compile_nodes(std::vector<GraphNode> nodes,
 
   // Bake every conv node: the plan sees the node's input geometry (its
   // predecessor's post-post-op shape) and packs the filter planes for the
-  // resolved mode.
+  // resolved mode, converting only the taps its clip classes read, in
+  // parallel over output channels on the spec's thread count.
   cm.compiled_.resize(cm.nodes_.size());
+  ThreadPool pool(spec.threads);
   size_t conv_index = 0;
   for (int id : cm.topo_.order) {
     const GraphNode& nd = cm.nodes_[static_cast<size_t>(id)];
@@ -182,14 +161,12 @@ CompiledModel CompiledModel::compile_nodes(std::vector<GraphNode> nodes,
     cl.precision = p;
     cl.precision_label = p.to_string();
     if (p.kind == LayerPrecision::Kind::kFp16) {
-      const PreparedFp16 flt_planes = prepare_fp16_planes(nd.filters.data);
-      cl.fp16_plan.build(c, h, w, nd.filters, nd.spec, flt_planes);
+      cl.fp16_plan = build_fp16_plan(c, h, w, nd.filters, nd.spec, pool);
     } else {
       cl.qw = fit_symmetric(nd.filters.data, p.w_bits);
       cl.int_digits = spec.datapath.scheme != DecompositionScheme::kSerial;
-      const PreparedInt flt_planes =
-          prepare_int_planes(nd.filters.data, cl.qw, cl.int_digits);
-      cl.int_plan.build(c, h, w, nd.filters, nd.spec, flt_planes);
+      cl.int_plan = build_int_plan(c, h, w, nd.filters, nd.spec, cl.qw,
+                                   cl.int_digits, pool);
     }
   }
   return cm;

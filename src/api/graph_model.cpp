@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/fnv1a.h"
 #include "nn/elementwise.h"
 
 namespace mpipu {
@@ -485,41 +486,27 @@ std::vector<Tensor> graph_reference_outputs(const std::vector<GraphNode>& nodes,
 }
 
 uint64_t graph_fingerprint(const GraphModel& model) {
-  // FNV-1a over the graph's full content (same scheme as
-  // model_fingerprint; lives here so the hash sees GraphNode internals).
-  uint64_t h = 1469598103934665603ull;
-  const auto bytes = [&h](const void* p, size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 1099511628211ull;
-    }
-  };
-  const auto str = [&](const std::string& s) {
-    const uint64_t n = s.size();
-    bytes(&n, sizeof(n));
-    bytes(s.data(), s.size());
-  };
-  const auto pod = [&](const auto& v) { bytes(&v, sizeof(v)); };
-
-  str(model.name());
-  pod(static_cast<uint64_t>(model.nodes().size()));
+  // Same scheme as model_fingerprint; lives here so the hash sees GraphNode
+  // internals.
+  Fnv1a h;
+  h.str(model.name());
+  h.pod(static_cast<uint64_t>(model.nodes().size()));
   for (const GraphNode& nd : model.nodes()) {
-    pod(static_cast<int>(nd.op));
-    str(nd.name);
-    pod(static_cast<uint64_t>(nd.inputs.size()));
-    for (int p : nd.inputs) pod(p);
-    pod(nd.spec.stride);
-    pod(nd.spec.pad);
-    pod(static_cast<int>(nd.relu));
-    pod(static_cast<int>(nd.pool));
-    pod(nd.filters.cout);
-    pod(nd.filters.cin);
-    pod(nd.filters.kh);
-    pod(nd.filters.kw);
-    bytes(nd.filters.data.data(), nd.filters.data.size() * sizeof(double));
+    h.pod(static_cast<int>(nd.op));
+    h.str(nd.name);
+    h.pod(static_cast<uint64_t>(nd.inputs.size()));
+    for (int p : nd.inputs) h.pod(p);
+    h.pod(nd.spec.stride);
+    h.pod(nd.spec.pad);
+    h.pod(static_cast<int>(nd.relu));
+    h.pod(static_cast<int>(nd.pool));
+    h.pod(nd.filters.cout);
+    h.pod(nd.filters.cin);
+    h.pod(nd.filters.kh);
+    h.pod(nd.filters.kw);
+    h.doubles(nd.filters.data);
   }
-  return h;
+  return h.value();
 }
 
 }  // namespace mpipu

@@ -7,6 +7,7 @@
 // branch-light so the simulator stays fast.
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <limits>
@@ -75,14 +76,12 @@ constexpr int128 saturate_signed(int128 v, int width) {
 }
 
 /// Position of the most significant set bit of a positive value
-/// (0 for v==1); -1 for v==0.
+/// (0 for v==1); -1 for v==0.  O(1): a leading-zero count on whichever
+/// 64-bit half holds the top set bit (countl_zero(0) == 64 yields -1).
 constexpr int msb_index(uint128 v) {
-  int idx = -1;
-  while (v != 0) {
-    v >>= 1;
-    ++idx;
-  }
-  return idx;
+  const auto hi = static_cast<uint64_t>(v >> 64);
+  if (hi != 0) return 127 - std::countl_zero(hi);
+  return 63 - std::countl_zero(static_cast<uint64_t>(v));
 }
 
 /// Count of significant bits of the magnitude of `v` (0 for v==0).

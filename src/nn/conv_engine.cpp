@@ -29,14 +29,14 @@ ConvEngine::ConvEngine(const ConvEngineConfig& cfg, ThreadPool& pool)
 
 Tensor ConvEngine::conv_fp16(const Tensor& input, const FilterBank& filters,
                              const ConvSpec& spec) {
-  // Decode once, allocate never: each tensor is rounded to FP16 AND
-  // decomposed into prepared SoA planes exactly once; the plan packs the
-  // per-clip-class filter streams and the executor streams plane views
-  // through fp16_accumulate_prepared.
+  // Decode once, allocate never: the input is rounded to FP16 AND
+  // decomposed into prepared SoA planes exactly once; the plan converts
+  // the filter taps its clip classes read straight into packed
+  // per-clip-class streams, and the executor streams plane views through
+  // fp16_accumulate_prepared.
   const PreparedFp16 in_planes = prepare_fp16_planes(input.data);
-  const PreparedFp16 flt_planes = prepare_fp16_planes(filters.data);
-  ConvPlan<PreparedFp16> plan;
-  plan.build(input.c, input.h, input.w, filters, spec, flt_planes);
+  const ConvPlan<PreparedFp16> plan =
+      build_fp16_plan(input.c, input.h, input.w, filters, spec, *pool_);
   return execute_fp16_plan(plan, in_planes, *pool_, units_,
                            cfg_.datapath.n_inputs, cfg_.accum);
 }
@@ -58,9 +58,8 @@ Tensor ConvEngine::conv_int(const Tensor& input, const FilterBank& filters,
   // skip packing them on its tensors.
   const bool digits = cfg_.datapath.scheme != DecompositionScheme::kSerial;
   const PreparedInt in_planes = prepare_int_planes(input.data, qa, digits);
-  const PreparedInt flt_planes = prepare_int_planes(filters.data, qw, digits);
-  ConvPlan<PreparedInt> plan;
-  plan.build(input.c, input.h, input.w, filters, spec, flt_planes);
+  const ConvPlan<PreparedInt> plan = build_int_plan(
+      input.c, input.h, input.w, filters, spec, qw, digits, *pool_);
   return execute_int_plan(plan, in_planes, *pool_, units_,
                           cfg_.datapath.n_inputs, a_bits, w_bits, qa, qw);
 }

@@ -19,6 +19,41 @@ PreparedInt prepare_int_planes(std::span<const double> values,
   return planes;
 }
 
+ConvPlan<PreparedFp16> build_fp16_plan(int input_c, int input_h, int input_w,
+                                       const FilterBank& f,
+                                       const ConvSpec& spec, ThreadPool& pool) {
+  ConvPlan<PreparedFp16> plan;
+  plan.pack(input_c, input_h, input_w, f, spec, PreparedFp16{}, pool,
+            [&f](PreparedFp16& dst, std::span<const int32_t> rel, int64_t base,
+                 size_t dst_offset) {
+              for (size_t t = 0; t < rel.size(); ++t) {
+                dst.set(dst_offset + t,
+                        Fp16::from_double(
+                            f.data[static_cast<size_t>(base + rel[t])]));
+              }
+            });
+  return plan;
+}
+
+ConvPlan<PreparedInt> build_int_plan(int input_c, int input_h, int input_w,
+                                     const FilterBank& f, const ConvSpec& spec,
+                                     const QuantParams& qw, bool with_digits,
+                                     ThreadPool& pool) {
+  PreparedInt layout;
+  layout.configure(qw.bits, qw.is_unsigned, 0, with_digits);
+  ConvPlan<PreparedInt> plan;
+  plan.pack(input_c, input_h, input_w, f, spec, layout, pool,
+            [&f, &qw](PreparedInt& dst, std::span<const int32_t> rel,
+                      int64_t base, size_t dst_offset) {
+              for (size_t t = 0; t < rel.size(); ++t) {
+                dst.set(dst_offset + t,
+                        quantize_value(
+                            f.data[static_cast<size_t>(base + rel[t])], qw));
+              }
+            });
+  return plan;
+}
+
 Tensor execute_fp16_plan_shard(const ConvPlan<PreparedFp16>& plan,
                                const PreparedFp16& in_planes, ThreadPool& pool,
                                std::span<const std::unique_ptr<Datapath>> units,

@@ -48,7 +48,8 @@ namespace mpipu {
 ///
 /// Interior pixels all share one class; border pixels fall into at most
 /// (kh+1) x (kw+1) distinct ky-range x kx-range combinations, so the
-/// packing cost is a handful of filter-bank sweeps.
+/// packing cost is a handful of filter-bank sweeps -- over only the taps
+/// the classes read (a 1x1 map's single class reads just the kernel centre).
 template <typename Planes>
 struct ClipClass {
   std::vector<int32_t> rel_input;
@@ -94,8 +95,32 @@ struct ConvPlan {
            xs.class_of[static_cast<size_t>(x)];
   }
 
+  /// Build from full-bank prepared filter planes (flat cout x cin x kh x kw
+  /// order): the packing loop below with a plane-copy source, on one thread.
   void build(int input_c, int input_h, int input_w, const FilterBank& f,
              const ConvSpec& spec, const Planes& flt_planes) {
+    ThreadPool inline_pool(1);
+    pack(input_c, input_h, input_w, f, spec, flt_planes, inline_pool,
+         [&flt_planes](Planes& dst, std::span<const int32_t> rel,
+                       int64_t base, size_t dst_offset) {
+           dst.gather(flt_planes, rel, base, dst_offset);
+         });
+  }
+
+  /// The one packing loop.  Lays out the geometry and clip classes, sizes
+  /// every class's filter planes in `layout`'s element layout
+  /// (match_layout), then fills each (class, output channel) stream with
+  /// `fill(dst, rel, base, dst_offset)`, which must prepare filter-bank
+  /// element base + rel[t] (a flat f.data index) into dst[dst_offset + t]
+  /// for every t -- the same contract as Planes::gather.  Only the taps some
+  /// class reads are ever requested.  Streams are filled in parallel over
+  /// output channels on `pool`; each output channel writes only its own
+  /// disjoint [co*len, (co+1)*len) slice of every class, so the planes are
+  /// identical for any pool size.
+  template <typename FillFn>
+  void pack(int input_c, int input_h, int input_w, const FilterBank& f,
+            const ConvSpec& spec, const Planes& layout, ThreadPool& pool,
+            FillFn&& fill) {
     assert(input_c == f.cin);
     in_c = input_c;
     in_h = input_h;
@@ -107,15 +132,14 @@ struct ConvPlan {
     pad = spec.pad;
     ys.build(ho, spec.stride, spec.pad, f.kh, input_h);
     xs.build(wo, spec.stride, spec.pad, f.kw, input_w);
-    const size_t filter_block =
-        static_cast<size_t>(f.cin) * f.kh * f.kw;
+    const auto filter_block = static_cast<int64_t>(f.cin) * f.kh * f.kw;
     classes.clear();
     classes.resize(ys.uniq.size() * xs.uniq.size());
-    std::vector<int32_t> rel_filter;
+    std::vector<std::vector<int32_t>> rel_filter(classes.size());
     for (size_t yr = 0; yr < ys.uniq.size(); ++yr) {
       for (size_t xr = 0; xr < xs.uniq.size(); ++xr) {
-        ClipClass<Planes>& cls = classes[yr * xs.uniq.size() + xr];
-        rel_filter.clear();
+        const size_t k = yr * xs.uniq.size() + xr;
+        ClipClass<Planes>& cls = classes[k];
         for (int ky = ys.uniq[yr].first; ky < ys.uniq[yr].second; ++ky) {
           for (int kx = xs.uniq[xr].first; kx < xs.uniq[xr].second; ++kx) {
             for (int ci = 0; ci < input_c; ++ci) {
@@ -123,7 +147,7 @@ struct ConvPlan {
                   (static_cast<size_t>(ci) * input_h + ky) *
                       static_cast<size_t>(input_w) +
                   kx));
-              rel_filter.push_back(static_cast<int32_t>(
+              rel_filter[k].push_back(static_cast<int32_t>(
                   (static_cast<size_t>(ci) * f.kh + ky) *
                       static_cast<size_t>(f.kw) +
                   kx));
@@ -131,15 +155,20 @@ struct ConvPlan {
           }
         }
         cls.len = static_cast<int>(cls.rel_input.size());
-        cls.filters.match_layout(flt_planes);
+        cls.filters.match_layout(layout);
         cls.filters.resize(static_cast<size_t>(cls.len) * f.cout);
-        for (int co = 0; co < f.cout; ++co) {
-          cls.filters.gather(flt_planes, rel_filter,
-                             static_cast<int64_t>(co) * static_cast<int64_t>(filter_block),
-                             static_cast<size_t>(co) * static_cast<size_t>(cls.len));
-        }
       }
     }
+    pool.parallel_for(f.cout, [&](int64_t co_begin, int64_t co_end, int) {
+      for (size_t k = 0; k < classes.size(); ++k) {
+        ClipClass<Planes>& cls = classes[k];
+        for (int64_t co = co_begin; co < co_end; ++co) {
+          fill(cls.filters, std::span<const int32_t>(rel_filter[k]),
+               co * filter_block,
+               static_cast<size_t>(co) * static_cast<size_t>(cls.len));
+        }
+      }
+    });
   }
 };
 
@@ -241,6 +270,24 @@ PreparedFp16 prepare_fp16_planes(std::span<const double> values);
 /// scheme streams raw values and never reads them).
 PreparedInt prepare_int_planes(std::span<const double> values,
                                const QuantParams& params, bool with_digits);
+
+/// Compile-time plan builders: ConvPlan::pack with each stored filter
+/// element converted straight from the bank's doubles, in parallel over
+/// output channels on `pool`.  Taps no clip class reads (all but the centre
+/// of a 3x3 kernel on a 1x1 map) are never converted, and no full-bank
+/// planes are materialized.  Byte-identical to prepare_*_planes followed by
+/// ConvPlan::build for any pool size.
+ConvPlan<PreparedFp16> build_fp16_plan(int input_c, int input_h, int input_w,
+                                       const FilterBank& f,
+                                       const ConvSpec& spec, ThreadPool& pool);
+
+/// INT counterpart: elements are quantized one by one with quantize_value.
+/// `qw` is the caller's fit over the WHOLE bank (fit_symmetric), unread taps
+/// included, so the scale matches prepare_int_planes exactly.
+ConvPlan<PreparedInt> build_int_plan(int input_c, int input_h, int input_w,
+                                     const FilterBank& f, const ConvSpec& spec,
+                                     const QuantParams& qw, bool with_digits,
+                                     ThreadPool& pool);
 
 /// FP16 plan executor: every inner product on the scheme datapath, partial
 /// sums in the datapath accumulator, rounded to `accum` once per pixel.

@@ -15,6 +15,7 @@
 // only for reporting and test oracles.
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <compare>
@@ -205,14 +206,19 @@ Soft<F> Soft<F>::round_from_fixed(const FixedPoint& fx) {
 
 template <FpFormat F>
 Soft<F> Soft<F>::from_double(double v) {
-  if (std::isnan(v)) return quiet_nan();
-  if (std::isinf(v)) return infinity(v < 0);
-  if (v == 0.0) return zero(std::signbit(v));
-  // Express the double exactly as FixedPoint (53-bit significand).
-  int e;
-  const double frac = std::frexp(v, &e);  // v = frac * 2^e, |frac| in [0.5,1)
-  const auto mant = static_cast<int64_t>(std::ldexp(frac, 53));
-  return round_from_fixed(FixedPoint(mant, e - 53));
+  // Read the binary64 fields straight from the encoding: the value is
+  // exactly sig * 2^(e - 1075), with the hidden bit set for normals and
+  // e pinned at 1 for subnormals.
+  const auto raw = std::bit_cast<uint64_t>(v);
+  const bool neg = (raw >> 63) != 0;
+  const auto exp_field = static_cast<int>((raw >> 52) & 0x7ff);
+  const uint64_t man = raw & ((uint64_t{1} << 52) - 1);
+  if (exp_field == 0x7ff) return man != 0 ? quiet_nan() : infinity(neg);
+  if (exp_field == 0 && man == 0) return zero(neg);
+  const auto sig =
+      static_cast<int64_t>(exp_field == 0 ? man : man | (uint64_t{1} << 52));
+  const int lsb = (exp_field == 0 ? 1 : exp_field) - 1075;
+  return round_from_fixed(FixedPoint(neg ? -sig : sig, lsb));
 }
 
 template <FpFormat F>

@@ -18,15 +18,17 @@ QuantParams fit_symmetric(std::span<const double> values, int bits, bool is_unsi
   return qp;
 }
 
+int32_t quantize_value(double v, const QuantParams& qp) {
+  const double q = std::nearbyint(v / qp.scale);
+  const double clamped =
+      std::clamp(q, static_cast<double>(qp.qmin()), static_cast<double>(qp.qmax()));
+  return static_cast<int32_t>(clamped);
+}
+
 std::vector<int32_t> quantize(std::span<const double> values, const QuantParams& qp) {
   std::vector<int32_t> out;
   out.reserve(values.size());
-  for (double v : values) {
-    const double q = std::nearbyint(v / qp.scale);
-    const double clamped =
-        std::clamp(q, static_cast<double>(qp.qmin()), static_cast<double>(qp.qmax()));
-    out.push_back(static_cast<int32_t>(clamped));
-  }
+  for (double v : values) out.push_back(quantize_value(v, qp));
   return out;
 }
 

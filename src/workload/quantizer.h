@@ -24,7 +24,10 @@ struct QuantParams {
 /// (max-calibration, the standard post-training scheme).
 QuantParams fit_symmetric(std::span<const double> values, int bits, bool is_unsigned = false);
 
-/// Quantize with round-to-nearest and saturation.
+/// Quantize one value with round-to-nearest and saturation.
+int32_t quantize_value(double v, const QuantParams& qp);
+
+/// Quantize with round-to-nearest and saturation (quantize_value per element).
 std::vector<int32_t> quantize(std::span<const double> values, const QuantParams& qp);
 
 /// Dequantize.

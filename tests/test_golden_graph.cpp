@@ -16,12 +16,12 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "api/session.h"
+#include "common/fnv1a.h"
 #include "common/rng.h"
 #include "workload/graph_builders.h"
 
@@ -30,17 +30,12 @@ namespace {
 
 const char* kGoldenRelPath = "/tests/golden/graph_golden.json";
 
+/// Byte-wise FNV-1a over the raw doubles (the digest format the golden
+/// file was recorded in).
 uint64_t fnv1a_doubles(const std::vector<double>& v) {
-  uint64_t h = 1469598103934665603ull;
-  for (double d : v) {
-    unsigned char b[sizeof(double)];
-    std::memcpy(b, &d, sizeof(double));
-    for (size_t i = 0; i < sizeof(double); ++i) {
-      h ^= b[i];
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
+  Fnv1a h;
+  h.bytes(v.data(), v.size() * sizeof(double));
+  return h.value();
 }
 
 std::string hex64(uint64_t v) {

@@ -1,9 +1,12 @@
 // Unit and property tests for the soft floating point substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 #include "common/rng.h"
 #include "softfloat/softfloat.h"
@@ -139,6 +142,159 @@ TEST(Fp16, NanAndInfHandling) {
   EXPECT_TRUE(Fp16::from_double(-std::numeric_limits<double>::infinity()).is_inf());
   EXPECT_TRUE(Fp16::from_double(-std::numeric_limits<double>::infinity()).sign());
   EXPECT_TRUE(std::isnan(Fp16::quiet_nan().to_double()));
+}
+
+// --- Independent oracle for Fp16::from_double -------------------------------
+//
+// Nearest-value search over the finite FP16 values' to_double(), ties to the
+// even encoding.  It shares no code with round_from_fixed.  Overflow follows
+// IEEE 754 (round as if the exponent were unbounded): the candidate above
+// max_finite is 2^16, whose encoding 0x7C00 is +inf and is even, so the
+// 65520 tie overflows.  Candidate k of the ascending list has encoding k.
+
+class Fp16NearestOracle {
+ public:
+  Fp16NearestOracle() {
+    for (uint32_t raw = 0; raw <= 0x7BFF; ++raw) {
+      mags_.push_back(Fp16::from_bits(raw).to_double());
+    }
+    mags_.push_back(65536.0);
+  }
+
+  /// Expected encoding of a non-NaN double.
+  uint32_t encode(double x) const {
+    const uint32_t sign = std::signbit(x) ? 0x8000u : 0u;
+    const double m = std::fabs(x);
+    if (m >= mags_.back()) return sign | 0x7C00u;  // also +/-inf
+    const auto hi = static_cast<size_t>(
+        std::lower_bound(mags_.begin(), mags_.end(), m) - mags_.begin());
+    if (mags_[hi] == m) return sign | static_cast<uint32_t>(hi);
+    const size_t lo = hi - 1;  // m > 0 == mags_[0], so hi >= 1
+    // Both distances are exact: adjacent candidates above zero are within
+    // a factor of 2 (Sterbenz), and below min_subnormal/2 the rounding of
+    // the hi distance cannot flip the comparison.
+    const double d_lo = m - mags_[lo];
+    const double d_hi = mags_[hi] - m;
+    const size_t pick =
+        d_lo < d_hi ? lo : d_hi < d_lo ? hi : (lo % 2 == 0 ? lo : hi);
+    return sign | static_cast<uint32_t>(pick);
+  }
+
+  const std::vector<double>& mags() const { return mags_; }
+
+ private:
+  std::vector<double> mags_;  ///< ascending; index == FP16 encoding
+};
+
+/// Checks every input against the oracle; reports the first few misses.
+void expect_matches_oracle(const Fp16NearestOracle& oracle,
+                           const std::vector<double>& inputs,
+                           const char* corpus) {
+  size_t misses = 0;
+  for (double x : inputs) {
+    const uint32_t got = Fp16::from_double(x).raw_bits();
+    const uint32_t want = oracle.encode(x);
+    if (got != want && ++misses <= 5) {
+      ADD_FAILURE() << corpus << ": from_double(" << std::hexfloat << x
+                    << ") = 0x" << std::hex << got << ", nearest-even 0x"
+                    << want;
+    }
+  }
+  EXPECT_EQ(misses, 0u) << corpus << ": " << inputs.size() << " inputs";
+}
+
+TEST(Fp16FromDoubleOracle, EveryEncoding) {
+  const Fp16NearestOracle oracle;
+  std::vector<double> values;
+  for (uint32_t raw = 0; raw < 0x10000; ++raw) {
+    const Fp16 f = Fp16::from_bits(raw);
+    if (f.is_nan()) {
+      EXPECT_TRUE(Fp16::from_double(f.to_double()).is_nan()) << raw;
+      continue;
+    }
+    values.push_back(f.to_double());
+    EXPECT_EQ(oracle.encode(f.to_double()), raw);  // the oracle itself
+  }
+  expect_matches_oracle(oracle, values, "every encoding");
+}
+
+TEST(Fp16FromDoubleOracle, MidpointsAndTheirNeighbours) {
+  const Fp16NearestOracle oracle;
+  const std::vector<double>& m = oracle.mags();
+  std::vector<double> values;
+  for (size_t k = 0; k + 1 < m.size(); ++k) {
+    const double mid = m[k] + (m[k + 1] - m[k]) / 2;  // exact
+    for (double v : {mid, std::nextafter(mid, 0.0),
+                     std::nextafter(mid, std::numeric_limits<double>::infinity())}) {
+      values.push_back(v);
+      values.push_back(-v);
+    }
+  }
+  expect_matches_oracle(oracle, values, "midpoints");
+}
+
+TEST(Fp16FromDoubleOracle, SubnormalDoublesAndSpecials) {
+  const Fp16NearestOracle oracle;
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {
+      0.0, -0.0, inf, -inf,
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),  // smallest normal double
+      65520.0, -65520.0,                   // the overflow tie
+      std::nextafter(65520.0, 0.0), std::nextafter(65520.0, inf),
+      65504.0, std::numeric_limits<double>::max()};
+  Rng rng(0x5B);
+  for (int i = 0; i < 4096; ++i) {  // random subnormal doubles, both signs
+    const uint64_t man = rng.next_u64() & ((uint64_t{1} << 52) - 1);
+    values.push_back(std::bit_cast<double>(man | (i % 2 == 0 ? 0 : uint64_t{1} << 63)));
+  }
+  values.push_back(std::bit_cast<double>((uint64_t{1} << 52) - 1));  // largest
+  expect_matches_oracle(oracle, values, "subnormal doubles and specials");
+
+  EXPECT_EQ(Fp16::from_double(65520.0).raw_bits(), 0x7C00u);
+  EXPECT_EQ(Fp16::from_double(-65520.0).raw_bits(), 0xFC00u);
+  EXPECT_EQ(Fp16::from_double(std::nextafter(65520.0, 0.0)).raw_bits(), 0x7BFFu);
+  EXPECT_EQ(Fp16::from_double(-0.0).raw_bits(), 0x8000u);
+  EXPECT_EQ(Fp16::from_double(-std::numeric_limits<double>::denorm_min()).raw_bits(),
+            0x8000u);
+  for (double nan : {std::numeric_limits<double>::quiet_NaN(),
+                     -std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::signaling_NaN()}) {
+    EXPECT_TRUE(Fp16::from_double(nan).is_nan());
+  }
+}
+
+TEST(Fp16FromDoubleOracle, SeededRandomDoubles) {
+  const Fp16NearestOracle oracle;
+  Rng rng(0xF16);
+  std::vector<double> values;
+  for (int i = 0; i < 1 << 18; ++i) {  // raw bit patterns: every binade
+    const double v = std::bit_cast<double>(rng.next_u64());
+    if (!std::isnan(v)) values.push_back(v);
+  }
+  for (int i = 0; i < 1 << 19; ++i) {  // magnitudes around the FP16 range
+    values.push_back(rng.log_uniform_signed(-27.0, 17.0));
+  }
+  for (int i = 0; i < 1 << 18; ++i) values.push_back(rng.normal(0.0, 0.05));
+  expect_matches_oracle(oracle, values, "seeded random doubles");
+}
+
+TEST(MsbIndex, MatchesNaiveBitLoop) {
+  const auto naive = [](uint128 v) {
+    int idx = -1;
+    for (; v != 0; v >>= 1) ++idx;
+    return idx;
+  };
+  EXPECT_EQ(msb_index(0), naive(0));
+  EXPECT_EQ(msb_index(0), -1);
+  for (int i = 0; i < 128; ++i) {
+    const uint128 bit = uint128{1} << i;
+    EXPECT_EQ(msb_index(bit), naive(bit)) << "bit " << i;
+    EXPECT_EQ(msb_index(bit), i);
+  }
+  for (int n = 0; n <= 128; ++n) {
+    EXPECT_EQ(msb_index(low_mask(n)), naive(low_mask(n))) << n << " ones";
+  }
 }
 
 // --- FixedPoint rounding path ----------------------------------------------

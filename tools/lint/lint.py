@@ -20,10 +20,11 @@ Rules:
   include-hygiene  quoted includes in src/ resolve from the src/ root, no
                    `..` segments, every src/ header opens with #pragma once
   bench-schema     the committed BENCH_*.json artifacts parse, carry their
-                   contract keys, and never commit bit_identical/conserved
-                   == false
+                   contract keys, never commit bit_identical/conserved
+                   == false, and are not listed in .gitignore
 """
 
+import fnmatch
 import hashlib
 import json
 import re
@@ -312,8 +313,41 @@ def _walk_json(value, path=""):
         yield path, value
 
 
+def _gitignore_hits(root, names):
+    """(line, name) for each name the root .gitignore leaves ignored.
+
+    Patterns are evaluated like git does for a file at the repo root: the
+    last matching line wins, `!` re-includes, a leading `/` anchors (every
+    name here is at the root anyway) and a trailing `/` matches directories
+    only, so it never ignores these files.
+    """
+    path = root / ".gitignore"
+    if not path.exists():
+        return []
+    ignored_by = {}
+    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+        pattern = raw.strip()
+        if not pattern or pattern.startswith("#") or pattern.endswith("/"):
+            continue
+        negate = pattern.startswith("!")
+        pattern = pattern[1:] if negate else pattern
+        pattern = pattern.lstrip("/")
+        for name in names:
+            if fnmatch.fnmatchcase(name, pattern):
+                if negate:
+                    ignored_by.pop(name, None)
+                else:
+                    ignored_by[name] = lineno
+    return sorted((line, name) for name, line in ignored_by.items())
+
+
 def check_bench_schema(root):
     violations = []
+    for line, name in _gitignore_hits(root, BENCH_REQUIRED_KEYS):
+        violations.append(Violation(
+            "bench-schema", Path(".gitignore"), line,
+            f"ignores {name}, a required committed bench artifact -- a"
+            " clean checkout would lack it"))
     for name, required in BENCH_REQUIRED_KEYS.items():
         path = root / name
         rel = Path(name)

@@ -37,6 +37,9 @@ def make_tree(root):
     (root / "tools" / "lint" / "scalar_oracle.sha256").write_text(
         lint.scalar_oracle_digest(root) + "  kernels_scalar.cpp\n")
 
+    (root / ".gitignore").write_text(
+        "# build trees\nbuild/\n.bench_build/\nBENCH_*_native.json\n")
+
     (root / "BENCH_accuracy.json").write_text(json.dumps(
         {"bench": "accuracy", "points": [{"conserved": True}]}))
     (root / "BENCH_conv.json").write_text(json.dumps(
@@ -138,6 +141,24 @@ def main():
             {"bench": "server", "saturating": {},
              "bit_identical": False, "soak": {}}))
     )), "bench-schema", "BENCH_server.json")
+
+    # bench-schema: a required artifact that .gitignore excludes (the file
+    # exists locally, but a clean checkout would not have it).
+    def ignore_artifact(root):
+        p = root / ".gitignore"
+        p.write_text(p.read_text() + "BENCH_accuracy.json\n")
+    expect("bench-schema (gitignored)", in_fresh_tree(ignore_artifact),
+           "bench-schema", ".gitignore")
+
+    # ... and a later `!` line re-including it clears the finding.
+    def reinclude_artifact(root):
+        p = root / ".gitignore"
+        p.write_text(p.read_text() + "BENCH_*.json\n!BENCH_*.json\n")
+    reincluded = in_fresh_tree(reinclude_artifact)
+    assert not reincluded, (
+        "bench-schema fired on a re-included artifact: "
+        + "; ".join(map(str, reincluded)))
+    print("  ok: bench-schema honours .gitignore negation")
 
     print("lint_selftest: every rule fires on its seeded violation.")
     return 0
