@@ -6,11 +6,12 @@
 //   * the PR 2 per-op engine loop (re-created here verbatim: per-pixel
 //     patch gather of Fp16 values, per-op decode + decompose + allocating
 //     EHU inside each scheme's original fp_accumulate entry point),
-//   * the prepared-operand ConvEngine (decode once, allocate never) at 1
-//     and hardware_concurrency threads,
+//   * the compiled conv path (decode once, allocate never): compile plus
+//     run of a one-layer Model, at 1 and hardware_concurrency threads,
 //
 // for every decomposition scheme.  Verifies all paths produce bit-identical
-// tensors and matching cycle/op counts before timing them.
+// tensors and matching cycle/op counts (one call's RunReport.totals)
+// before timing them.
 //
 //   ./bench_conv_engine [--smoke] [--json [path]]
 //
@@ -27,9 +28,11 @@
 #include <thread>
 #include <vector>
 
+#include "api/compiled_model.h"
 #include "api/json.h"
 #include "bench_util.h"
 #include "common/rng.h"
+#include "core/ipu.h"
 #include "core/serial_ipu.h"
 #include "core/simd/simd.h"
 #include "core/spatial_ipu.h"
@@ -38,8 +41,8 @@
 namespace mpipu {
 namespace {
 
-/// The seed's conv_ipu_fp16 loop before the ConvEngine refactor: one Ipu,
-/// operands re-rounded to FP16 for every output pixel that touches them.
+/// The seed's single-threaded conv loop: one Ipu, operands re-rounded to
+/// FP16 for every output pixel that touches them.
 Tensor legacy_conv_ipu_fp16(const Tensor& input, const FilterBank& filters,
                             const ConvSpec& spec, const IpuConfig& ipu_cfg,
                             AccumKind accum) {
@@ -115,7 +118,7 @@ struct PatchIndices {
 };
 
 /// One per-op unit: reset / accumulate-a-chunk / read, plus the counters
-/// the bit-identity check compares against the prepared engine.  Owns the
+/// the bit-identity check compares against the compiled path.  Owns the
 /// underlying scheme instance (only the scheme under test is constructed).
 struct PerOpUnit {
   std::shared_ptr<void> holder;
@@ -182,7 +185,7 @@ PerOpUnit make_per_op_unit(const DatapathConfig& cfg) {
   return {};
 }
 
-/// PR 2's ConvEngine::conv_fp16 inner loop, single-threaded: tensors
+/// PR 2's per-op conv engine inner loop, single-threaded: tensors
 /// rounded to FP16 once, every pixel's operand stream gathered through
 /// PatchIndices, every chunk run through the scheme's original per-op
 /// entry point (per-op decode + decompose + allocating EHU).
@@ -235,11 +238,22 @@ Tensor per_op_conv_fp16(const PerOpUnit& unit, int n_inputs, const Tensor& input
   return out;
 }
 
-double time_seconds(const std::function<Tensor()>& fn, Tensor* out) {
+template <typename Result>
+double time_seconds(const std::function<Result()>& fn, Result* out) {
   const auto t0 = std::chrono::steady_clock::now();
   *out = fn();
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(t1 - t0).count();
+}
+
+/// What one conv on the datapath costs: compile the one-layer model (filter
+/// packing) and run it once without the FP32 reference chain.
+RunReport compile_and_run(const Model& model, const Tensor& input,
+                          const RunSpec& spec) {
+  RunOptions opts;
+  opts.compare_reference = false;
+  return CompiledModel::compile(model, spec, {input.h, input.w})
+      .run(input, opts);
 }
 
 using bench::tensors_identical;
@@ -264,7 +278,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::title("Prepared-operand ConvEngine vs per-op loop vs legacy seed loop");
+  bench::title("Compiled conv path vs per-op loop vs legacy seed loop");
 
   // Quickstart-style workload (MC-IPU(16), FP32-grade software precision);
   // --smoke shrinks it so CI can afford every scheme on every push.
@@ -276,6 +290,8 @@ int main(int argc, char** argv) {
       random_filters(rng, co, ci, 3, 3, ValueDist::kNormal, 0.2);
   ConvSpec spec;
   spec.pad = 1;
+  const Model model =
+      Model::from_layers("conv", {ModelLayer{"conv", filters, spec}});
 
   const int hw = static_cast<int>(
       std::max(1u, std::thread::hardware_concurrency()));
@@ -318,7 +334,7 @@ int main(int argc, char** argv) {
   icfg.software_precision = 28;
   icfg.multi_cycle = true;
   Tensor legacy_out;
-  const double t_legacy = time_seconds(
+  const double t_legacy = time_seconds<Tensor>(
       [&] {
         return legacy_conv_ipu_fp16(input, filters, spec, icfg, AccumKind::kFp32);
       },
@@ -336,34 +352,32 @@ int main(int argc, char** argv) {
     // drove these exact entry points through its virtual wrapper).
     const PerOpUnit unit = make_per_op_unit(cfg);
 
-    Tensor per_op_out, prep1_out, prephw_out;
-    const double t_per_op = time_seconds(
+    Tensor per_op_out;
+    const double t_per_op = time_seconds<Tensor>(
         [&] { return per_op_conv_fp16(unit, cfg.n_inputs, input, filters, spec); },
         &per_op_out);
 
-    ConvEngineConfig ec;
-    ec.datapath = cfg;
-    ec.accum = AccumKind::kFp32;
-    ec.threads = 1;
-    ConvEngine engine1(ec);
-    const double t_prep1 = time_seconds(
-        [&] { return engine1.conv_fp16(input, filters, spec); }, &prep1_out);
+    RunSpec rs;
+    rs.datapath = cfg;
+    rs.policy = PrecisionPolicy::all_fp16(AccumKind::kFp32);
+    rs.threads = 1;
+    RunReport prep1, prephw;
+    const double t_prep1 = time_seconds<RunReport>(
+        [&] { return compile_and_run(model, input, rs); }, &prep1);
 
-    bool identical = tensors_identical(per_op_out, prep1_out) &&
-                     unit.cycles() == engine1.stats().cycles &&
-                     unit.fp_ops() == engine1.stats().fp_ops;
+    bool identical = tensors_identical(per_op_out, prep1.output) &&
+                     unit.cycles() == prep1.totals.cycles &&
+                     unit.fp_ops() == prep1.totals.fp_ops;
     double t_prephw = 0.0;
     if (run_hw) {
-      ec.threads = hw;
-      ConvEngine enginehw(ec);
-      const double t = time_seconds(
-          [&] { return enginehw.conv_fp16(input, filters, spec); }, &prephw_out);
-      t_prephw = t;
-      identical = identical && tensors_identical(per_op_out, prephw_out) &&
-                  engine1.stats() == enginehw.stats();
+      rs.threads = hw;
+      t_prephw = time_seconds<RunReport>(
+          [&] { return compile_and_run(model, input, rs); }, &prephw);
+      identical = identical && tensors_identical(per_op_out, prephw.output) &&
+                  prep1.totals == prephw.totals;
     }
     if (scheme == DecompositionScheme::kTemporal) {
-      identical = identical && tensors_identical(legacy_out, prep1_out);
+      identical = identical && tensors_identical(legacy_out, prep1.output);
     }
     if (!identical) {
       std::printf("BIT MISMATCH on %s scheme\n", scheme_name(scheme));
@@ -373,12 +387,12 @@ int main(int argc, char** argv) {
 
     table.add_row({scheme_name(scheme), "per-op loop (PR 2), 1 thread",
                    bench::fmt(t_per_op, 3), "1.00x"});
-    table.add_row({scheme_name(scheme), "prepared engine, 1 thread",
+    table.add_row({scheme_name(scheme), "compiled path, 1 thread",
                    bench::fmt(t_prep1, 3),
                    bench::fmt(t_per_op / t_prep1, 2) + "x"});
     if (run_hw) {
       table.add_row({scheme_name(scheme),
-                     "prepared engine, hw threads (" + std::to_string(hw) + ")",
+                     "compiled path, hw threads (" + std::to_string(hw) + ")",
                      bench::fmt(t_prephw, 3),
                      bench::fmt(t_per_op / t_prephw, 2) + "x"});
     }
@@ -400,7 +414,7 @@ int main(int argc, char** argv) {
     schemes_json.push(std::move(s));
   }
 
-  std::printf("all paths bit-identical (tensors, cycles, op counts): %s\n\n",
+  std::printf("all paths bit-identical: %s (tensors, cycles, op counts)\n\n",
               all_identical ? "yes" : "NO");
   table.print();
   std::printf("\nlegacy seed loop (temporal, 1 thread): %s s\n",

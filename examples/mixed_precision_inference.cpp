@@ -6,7 +6,7 @@
 // Migrated onto the high-level API: the layer list is a Model, the per-layer
 // choices are a PrecisionPolicy (the int8_except_first_last preset plus one
 // INT4 override), and a single Session::run produces the whole
-// accuracy/cycles table that used to be hand-wired ConvEngine calls.
+// accuracy/cycles table that used to be hand-wired per-conv calls.
 //
 //   ./examples/mixed_precision_inference
 #include <cstdio>

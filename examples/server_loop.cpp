@@ -1,14 +1,15 @@
 // Server loop: the serving runtime end to end.
 //
-// examples/serving_loop.cpp shows the load-once / serve-many pattern with a
-// hand-rolled loop around CompiledModel::run.  This example replaces that
-// loop with src/serve's ServingRuntime: a bounded request queue, a dynamic
-// batching window, async workers, typed overload shedding and SLO metrics
-// -- the machinery a real serving process needs around the same plan.
+// A serving process prepares its fixed weights once at load time and then
+// executes requests against the immutable compiled plan.  src/serve's
+// ServingRuntime wraps that plan in the machinery a real serving process
+// needs: a bounded request queue, a dynamic batching window, async
+// workers, typed overload shedding and SLO metrics.
 //
 //   load(model)  -> handle            (compile once, LRU plan cache)
 //   submit(h, x) -> future<result>    (never throws for overload)
 //   metrics()    -> throughput, p50/p95/p99, shed counts, batch sizes
+//   model(h)     -> the CompiledModel (fingerprint, one-off full reports)
 #include <cstdio>
 #include <future>
 #include <vector>
@@ -42,8 +43,10 @@ int main() {
   cfg.max_batch = 8;        // gather up to 8 same-model requests per dispatch
   serve::ServingRuntime rt(spec, cfg);
   const serve::ModelHandle h = rt.load(model, 16, 16);
-  std::printf("loaded '%s' -> handle %d (%zu plan(s) cached)\n",
-              rt.model(h)->model_name().c_str(), h, rt.loaded_count());
+  std::printf("loaded '%s' -> handle %d (%zu plan(s) cached), fingerprint "
+              "%016llx\n",
+              rt.model(h)->model_name().c_str(), h, rt.loaded_count(),
+              static_cast<unsigned long long>(rt.model(h)->fingerprint()));
 
   // ---- request time: a zipf-skewed burst of requests --------------------
   // A small catalog with hot-key skew, like production traffic; identical
@@ -87,6 +90,14 @@ int main() {
               static_cast<unsigned long long>(m.shed_queue_full),
               static_cast<unsigned long long>(m.shed_deadline),
               static_cast<unsigned long long>(m.shed_shutdown));
+
+  // Served requests skip the FP32 reference chain (ServerConfig's
+  // run_options); a one-off call on the same compiled plan can opt back
+  // into the full report.
+  const RunReport detailed =
+      rt.model(h)->run(catalog[0], {.compare_reference = true});
+  std::printf("catalog[0] end-to-end SNR vs FP32 chain: %.1f dB\n",
+              detailed.end_to_end.snr_db);
 
   rt.shutdown(serve::ServingRuntime::Shutdown::kDrain);  // complete, then stop
   return 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace mpipu {
@@ -12,6 +13,25 @@ namespace {
 /// 0 forever.  Bounded so a session streaming many throwaway models cannot
 /// hoard packed planes.
 constexpr size_t kMaxCompiledCacheEntries = 8;
+
+/// Reject an input whose channel count differs from what the model's first
+/// conv(s) read -- before any conv touches it (conv_reference only asserts
+/// the shape, so a wider input would read past the filter bank).
+void require_input_channels(const char* caller, const Tensor& input,
+                            int expected, const std::string& consumer) {
+  if (input.c != expected) {
+    throw std::invalid_argument(std::string(caller) + ": input has " +
+                                std::to_string(input.c) + " channels but " +
+                                consumer + " expects " +
+                                std::to_string(expected));
+  }
+}
+
+/// The first layer of a weighted chain model, as require_input_channels'
+/// consumer.
+std::string first_layer_label(const Model& model) {
+  return "layer '" + model.layers().front().name + "'";
+}
 }  // namespace
 
 Session::Session(RunSpec spec) : spec_(std::move(spec)), pool_(spec_.threads) {}
@@ -89,12 +109,9 @@ RunReport Session::run(const Model& model, const Tensor& input,
         "' carries no weights -- shape-table models are estimate-only; build "
         "with Model::from_layers or call materialize_weights()");
   }
-  if (input.c != model.layers().front().filters.cin) {
-    throw std::invalid_argument(
-        "Session::run: input has " + std::to_string(input.c) +
-        " channels but layer '" + model.layers().front().name + "' expects " +
-        std::to_string(model.layers().front().filters.cin));
-  }
+  require_input_channels("Session::run", input,
+                         model.layers().front().filters.cin,
+                         first_layer_label(model));
   return run_compiled(*compiled_for(model, input.h, input.w), input, opts);
 }
 
@@ -114,6 +131,9 @@ Tensor Session::reference(const Model& model, const Tensor& input) {
     throw std::invalid_argument(
         "Session::reference: model '" + model.name() + "' carries no weights");
   }
+  require_input_channels("Session::reference", input,
+                         model.layers().front().filters.cin,
+                         first_layer_label(model));
   Tensor ref = input;
   for (const ModelLayer& l : model.layers()) ref = reference_layer(ref, l);
   return ref;
@@ -159,6 +179,8 @@ Tensor Session::reference(const GraphModel& model, const Tensor& input) {
         "Session::reference: graph '" + model.name() + "' carries no weights");
   }
   const GraphTopology topo = analyze_graph(model.nodes(), input.h, input.w);
+  require_input_channels("Session::reference", input, topo.input_c,
+                         "graph '" + model.name() + "'");
   std::vector<Tensor> refs =
       graph_reference_outputs(model.nodes(), topo, input);
   return std::move(refs[static_cast<size_t>(topo.output_node)]);

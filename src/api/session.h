@@ -85,7 +85,8 @@ class Session {
   /// conv chain + the model's post-ops) -- what run() compares against when
   /// RunOptions.compare_reference is set.  Exposed so drivers sweeping many
   /// datapath configs over the same inputs can compute it once instead of
-  /// once per sweep point.
+  /// once per sweep point.  Throws std::invalid_argument on a weightless
+  /// model or an input/model channel mismatch, like run().
   static Tensor reference(const Model& model, const Tensor& input);
   /// Graph reference: the exact FP32 chain mirrored over the DAG
   /// (host-double convs, exact joins) -- graph_reference_outputs' final

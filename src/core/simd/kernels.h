@@ -1,7 +1,7 @@
 // Internal declarations of the per-backend kernel tables (src/core/simd).
-// The scalar table always exists; the vector tables return nullptr when
-// their ISA is not compiled into this build (the MPIPU_NATIVE gate).
-// tests/test_simd_kernels.cpp includes this header to pin each vector
+// The scalar table always exists; the AVX2 table is nullptr when AVX2 is
+// not compiled into this build (the MPIPU_NATIVE gate).
+// tests/test_simd_kernels.cpp includes this header to pin the vector
 // backend against the scalar reference kernel-by-kernel.
 #pragma once
 
@@ -11,6 +11,5 @@ namespace mpipu::simd {
 
 const KernelTable* scalar_kernel_table();  // never null
 const KernelTable* avx2_kernel_table();    // null unless __AVX2__
-const KernelTable* neon_kernel_table();    // null unless AArch64 NEON
 
 }  // namespace mpipu::simd

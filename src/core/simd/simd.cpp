@@ -16,8 +16,6 @@ const KernelTable* table_for(Backend b) {
       return scalar_kernel_table();
     case Backend::kAvx2:
       return avx2_kernel_table();
-    case Backend::kNeon:
-      return neon_kernel_table();
   }
   return nullptr;
 }
@@ -32,13 +30,9 @@ Backend select_default() {
     if (std::strcmp(env, "avx2") == 0 && avx2_kernel_table() != nullptr) {
       return Backend::kAvx2;
     }
-    if (std::strcmp(env, "neon") == 0 && neon_kernel_table() != nullptr) {
-      return Backend::kNeon;
-    }
     // "auto" or unrecognized: fall through.
   }
   if (avx2_kernel_table() != nullptr) return Backend::kAvx2;
-  if (neon_kernel_table() != nullptr) return Backend::kNeon;
   return Backend::kScalar;
 }
 
@@ -80,8 +74,6 @@ const char* backend_name(Backend b) {
       return "scalar";
     case Backend::kAvx2:
       return "avx2";
-    case Backend::kNeon:
-      return "neon";
   }
   return "scalar";
 }

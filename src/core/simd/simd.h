@@ -4,18 +4,19 @@
 // core/spatial_ipu.h) keep their scalar serve loops verbatim as the oracle;
 // this layer provides drop-in vector kernels that compute the exact same
 // integer sums, shifts and band assignments -- byte-identical outputs,
-// stats and cycle counts -- just faster.  Three backends:
+// stats and cycle counts -- just faster.  Two backends:
 //
 //   * scalar -- plain-C++ reference implementations, always available; also
 //     the oracle the equality tests (tests/test_simd_kernels.cpp) pin the
 //     vector backends against.
 //   * avx2   -- x86-64, compiled only when the build enables -march=native
 //     (the MPIPU_NATIVE CMake gate) on an AVX2-capable host.
-//   * neon   -- AArch64, compiled under the same gate on ARM hosts.
+//
+// Every other host (AArch64 included) runs the scalar backend.
 //
 // Backend selection happens once at startup (best compiled-in backend) and
 // can be overridden by the MPIPU_KERNEL environment variable
-// ("scalar"/"avx2"/"neon"/"auto") or programmatically via force_backend()
+// ("scalar"/"avx2"/"auto") or programmatically via force_backend()
 // (the hook the differential tests use to run both backends in one
 // process).  When the active backend is kScalar the schemes take their
 // scalar oracle paths and this layer is never consulted for values.
@@ -65,7 +66,7 @@ inline constexpr size_t kFusedLanes = 16;
 /// serial kernel hard-codes this many per-step sums.
 inline constexpr int kSerialSteps = 12;
 
-enum class Backend { kScalar = 0, kAvx2 = 1, kNeon = 2 };
+enum class Backend { kScalar = 0, kAvx2 = 1 };
 
 /// Function-pointer table of every kernel, one instance per backend.  The
 /// scheme hot loops fetch the active table once per op; entries a vector
@@ -224,7 +225,7 @@ bool force_backend(Backend b);
 void reset_backend();
 
 const char* backend_name(Backend b);
-/// Name of the active backend ("scalar" / "avx2" / "neon").
+/// Name of the active backend ("scalar" / "avx2").
 const char* backend_name();
 
 }  // namespace mpipu::simd

@@ -1,21 +1,17 @@
-// Convolution executors: an exact host-double reference ("FP32 CPU") and
-// bit-accurate paths that run every inner product through the datapath.
-// Used by the §3.1 end-to-end agreement study and the examples.
-//
-// conv_ipu_fp16 / conv_ipu_int / dgrad_ipu_fp16 are retained for API
-// compatibility as thin single-threaded wrappers over the scheme-generic
-// ConvEngine (nn/conv_engine.h) configured for the temporal scheme; new
-// code should drive ConvEngine directly.
+// Convolution geometry, the exact host-double reference ("FP32 CPU") and
+// the tensor helpers around it.  Convolutions on the datapath run through
+// one path only: a compiled model (api/compiled_model.h) executing the
+// plans of nn/conv_plan.h -- a single conv is a one-layer Model.
 #pragma once
 
 #include <cstdint>
 
-#include "core/ipu.h"
-#include "nn/conv_engine.h"
 #include "nn/tensor.h"
-#include "workload/quantizer.h"
 
 namespace mpipu {
+
+/// Accumulation destination for the FP16 datapath convolution (§3.1).
+enum class AccumKind { kFp16, kFp32 };
 
 struct ConvSpec {
   int stride = 1;
@@ -29,29 +25,6 @@ struct ConvSpec {
 Tensor conv_reference(const Tensor& input, const FilterBank& filters,
                       const ConvSpec& spec);
 
-/// Map the temporal scheme's IpuConfig onto the unified datapath config
-/// (used by the legacy wrappers below and anything else still holding an
-/// IpuConfig).
-DatapathConfig datapath_config_from_ipu(const IpuConfig& cfg);
-
-struct IpuConvStats {
-  int64_t fp_ops = 0;
-  int64_t cycles = 0;
-};
-
-/// Convolution with every inner product executed on the given IPU datapath:
-/// inputs/weights are first rounded to FP16, partial sums accumulate in the
-/// IPU accumulator and are rounded to the destination once per output pixel.
-Tensor conv_ipu_fp16(const Tensor& input, const FilterBank& filters, const ConvSpec& spec,
-                     const IpuConfig& ipu_cfg, AccumKind accum,
-                     IpuConvStats* stats = nullptr);
-
-/// Convolution with operands quantized to (a_bits, w_bits) integers and
-/// executed on the IPU's INT mode; the result is dequantized to real values.
-Tensor conv_ipu_int(const Tensor& input, const FilterBank& filters, const ConvSpec& spec,
-                    const IpuConfig& ipu_cfg, int a_bits, int w_bits,
-                    IpuConvStats* stats = nullptr);
-
 /// Elementwise ReLU.
 Tensor relu(const Tensor& t);
 /// 2x2 max pool, stride 2.
@@ -61,14 +34,12 @@ Tensor maxpool2(const Tensor& t);
 /// dL/dx = conv(dL/dy, W^T) with W spatially flipped and cin/cout swapped.
 FilterBank transpose_for_dgrad(const FilterBank& f);
 
-/// Data-gradient convolution (stride-1 layers): given the output gradient,
-/// compute the input gradient through the same datapath -- the backward-path
-/// workload the paper studies in §4.3 / Fig. 9(b).  Pads by k-1 ("full"
-/// convolution) so shapes invert conv with pad p = k-1-p_fwd.
+/// Exact data-gradient convolution (stride-1 layers): given the output
+/// gradient, compute the input gradient -- the backward-path workload the
+/// paper studies in §4.3 / Fig. 9(b).  It is the forward conv over
+/// transpose_for_dgrad(filters) with pad k-1-fwd_pad, so shapes invert the
+/// forward conv; the datapath version is that one layer compiled.
 Tensor dgrad_reference(const Tensor& grad_out, const FilterBank& filters, int fwd_pad);
-Tensor dgrad_ipu_fp16(const Tensor& grad_out, const FilterBank& filters, int fwd_pad,
-                      const IpuConfig& ipu_cfg, AccumKind accum,
-                      IpuConvStats* stats = nullptr);
 
 /// Output-agreement metrics between a datapath result and the reference.
 struct AgreementStats {

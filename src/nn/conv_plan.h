@@ -1,14 +1,14 @@
-// ConvPlan: the planning half of the convolution pipeline, split out of
-// ConvEngine so it can be built once and shared immutably.
+// ConvPlan: the planning half of the convolution pipeline, built once and
+// shared immutably.
 //
 // A plan captures everything about one conv layer that does not depend on
 // the activation values: the output geometry, the clip classes (in-bounds
 // kernel-window shapes) with their base-relative input gather offsets, and
 // -- the expensive part -- each class's per-output-channel *filter* operand
-// streams packed into contiguous prepared planes (core/prepared.h).  PR 3
-// built this per ConvEngine call; compile-once callers (api/compiled_model.h)
-// build it once per layer at model-compile time and share it `const` across
-// any number of concurrent executions.
+// streams packed into contiguous prepared planes (core/prepared.h).
+// CompiledModel (api/compiled_model.h), the one caller that runs convs on
+// the datapath, builds it once per layer at model-compile time and shares
+// it `const` across any number of concurrent executions.
 //
 // The execution half is stateless with respect to the plan: `run_conv_plan`
 // streams per-call prepared activation planes against a `const` plan, using
@@ -255,10 +255,9 @@ Tensor run_conv_plan(const ConvPlan<Planes>& plan, const Planes& in_planes,
 }
 
 // ---------------------------------------------------------------------------
-// Concrete plan builders / executors shared by ConvEngine (plan-per-call)
-// and CompiledModel (plan-per-model).  Keeping both callers on these exact
-// functions is what makes compile-once execution bit-identical to the
-// engine path by construction.
+// Concrete plan builders / executors behind CompiledModel.  Tests check them
+// against an independent per-op oracle (tests/conv_oracle.h), not against
+// another caller of these functions.
 // ---------------------------------------------------------------------------
 
 /// Round a double tensor to FP16 and decode + nibble-decompose it into

@@ -2,10 +2,26 @@
 // counterpart of the simulator's backward workload (§4.3, Fig. 9(b)).
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "nn/conv.h"
+#include "single_conv.h"
 
 namespace mpipu {
 namespace {
+
+const LayerPrecision kFp32Acc = LayerPrecision::fp16(AccumKind::kFp32);
+
+/// Data-gradient conv of a stride-1 layer with forward padding `fwd_pad` on
+/// the datapath: one compiled layer over transpose_for_dgrad(filters) with
+/// pad k - 1 - fwd_pad (what dgrad_reference computes exactly).
+RunReport run_dgrad(const Tensor& grad_out, const FilterBank& filters,
+                    int fwd_pad, const DatapathConfig& cfg) {
+  ConvSpec spec;
+  spec.pad = filters.kh - 1 - fwd_pad;
+  return run_single_conv(grad_out, transpose_for_dgrad(filters), spec, cfg,
+                         kFp32Acc);
+}
 
 TEST(Dgrad, TransposeIsAnInvolutionOnShapes) {
   Rng rng(91);
@@ -55,13 +71,13 @@ TEST(Dgrad, IpuPathAgreesWithReference) {
       random_tensor(rng, 8, 7, 7, ValueDist::kBackwardWide, 1.0).rounded_to_fp16();
   const FilterBank f =
       random_filters(rng, 8, 4, 3, 3, ValueDist::kNormal, 0.1).rounded_to_fp16();
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 16;
   cfg.adder_tree_width = 28;
   cfg.software_precision = 28;
   cfg.multi_cycle = true;
   const Tensor ref = dgrad_reference(g, f, 1);
-  const Tensor got = dgrad_ipu_fp16(g, f, 1, cfg, AccumKind::kFp32);
+  const Tensor got = run_dgrad(g, f, 1, cfg).output;
   const AgreementStats s = compare_outputs(got, ref);
   EXPECT_GT(s.snr_db, 50.0);
 }
@@ -70,20 +86,20 @@ TEST(Dgrad, BackwardTensorsCostMoreAlignmentCyclesThanForward) {
   // The bit-level confirmation of Fig. 9: gradient-like values multi-cycle
   // far more often than activation-like ones on a narrow MC-IPU.
   Rng rng(95);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 16;
   cfg.adder_tree_width = 12;
   cfg.software_precision = 28;
   cfg.multi_cycle = true;
   const FilterBank f =
       random_filters(rng, 4, 8, 3, 3, ValueDist::kNormal, 0.1).rounded_to_fp16();
-  IpuConvStats fwd_stats, bwd_stats;
   const Tensor act =
       random_tensor(rng, 8, 7, 7, ValueDist::kHalfNormal, 1.0).rounded_to_fp16();
-  conv_ipu_fp16(act, f, ConvSpec{}, cfg, AccumKind::kFp32, &fwd_stats);
+  const DatapathStats fwd_stats =
+      run_single_conv(act, f, ConvSpec{}, cfg, kFp32Acc).totals;
   const Tensor grad =
       random_tensor(rng, 4, 7, 7, ValueDist::kBackwardWide, 1.0).rounded_to_fp16();
-  dgrad_ipu_fp16(grad, f, 0, cfg, AccumKind::kFp32, &bwd_stats);
+  const DatapathStats bwd_stats = run_dgrad(grad, f, 0, cfg).totals;
   const double fwd_cpi = static_cast<double>(fwd_stats.cycles) /
                          static_cast<double>(fwd_stats.fp_ops);
   const double bwd_cpi = static_cast<double>(bwd_stats.cycles) /

@@ -2,16 +2,18 @@
 // random operand streams, cross-checked against the exact reference and
 // against each other; plus random DAG topologies (chains, diamonds,
 // residual blocks, concat fan-ins) cross-checked between the graph
-// execution core, the Session facade and a hand-wired ConvEngine
-// evaluation.  Complements the targeted property tests with broad
-// configuration coverage.
+// execution core, the Session facade and a node-by-node evaluation on the
+// independent per-op oracle (tests/conv_oracle.h).  Complements the
+// targeted property tests with broad configuration coverage.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "analysis/error_metrics.h"
 #include "api/session.h"
 #include "common/rng.h"
+#include "conv_oracle.h"
 #include "core/ipu.h"
 #include "core/spatial_ipu.h"
 #include "nn/elementwise.h"
@@ -165,9 +167,9 @@ TEST(FuzzDifferential, TemporalAndSpatialAgreeUnderRandomConfigs) {
 
 // ---------------------------------------------------------------------------
 // Random DAG topologies: the graph execution core (parallel-branch waves,
-// prepared/packed plans) vs the Session facade vs a node-by-node hand-wired
-// ConvEngine chain must agree bit for bit, for every scheme and precision
-// mode that scheme supports.
+// prepared/packed plans) vs the Session facade vs a node-by-node chain of
+// per-op oracle convs must agree bit for bit, for every scheme and
+// precision mode that scheme supports.
 // ---------------------------------------------------------------------------
 
 int rint(Rng& rng, int lo, int hi) {
@@ -253,11 +255,13 @@ GraphModel random_dag(Rng& rng, int& input_c, int& input_h, int& input_w) {
   return b.build();
 }
 
-/// Node-by-node evaluation on one ConvEngine -- the "obviously correct"
+/// Node-by-node evaluation on the per-op oracle -- the "obviously correct"
 /// wiring of the same topology (builder order is topological by
-/// construction, so plain list order works).
+/// construction, so plain list order works).  Adds every conv's datapath
+/// counters to `stats`.
 Tensor eval_hand_wired(const GraphModel& g, const Tensor& input,
-                       ConvEngine& engine, bool use_int) {
+                       const DatapathConfig& cfg, bool use_int,
+                       DatapathStats& stats) {
   std::vector<Tensor> acts(g.nodes().size());
   for (size_t i = 0; i < g.nodes().size(); ++i) {
     const GraphNode& nd = g.nodes()[i];
@@ -268,8 +272,12 @@ Tensor eval_hand_wired(const GraphModel& g, const Tensor& input,
         continue;
       case GraphNode::Op::kConv: {
         const Tensor& x = acts[static_cast<size_t>(nd.inputs[0])];
-        y = use_int ? engine.conv_int(x, nd.filters, nd.spec, 8, 8)
-                    : engine.conv_fp16(x, nd.filters, nd.spec);
+        oracle::ConvResult r =
+            use_int ? oracle::conv_int(x, nd.filters, nd.spec, cfg, 8, 8)
+                    : oracle::conv_fp16(x, nd.filters, nd.spec, cfg,
+                                        AccumKind::kFp32);
+        y = std::move(r.output);
+        stats += r.stats;
         break;
       }
       case GraphNode::Op::kAdd:
@@ -320,12 +328,9 @@ TEST(FuzzDifferential, RandomDagsAgreeAcrossSchemesModesAndExecutors) {
             session.compile(graph, {input_h, input_w});
         const RunReport via_compiled = compiled.run(input);
 
-        ConvEngineConfig ec;
-        ec.datapath = spec.datapath;
-        ec.accum = AccumKind::kFp32;
-        ec.threads = 1;
-        ConvEngine engine(ec);
-        const Tensor expected = eval_hand_wired(graph, input, engine, use_int);
+        DatapathStats oracle_stats;
+        const Tensor expected = eval_hand_wired(graph, input, spec.datapath,
+                                                use_int, oracle_stats);
 
         ASSERT_EQ(via_session.output.data.size(), expected.data.size())
             << "trial " << trial << " " << scheme_name(scheme);
@@ -336,7 +341,7 @@ TEST(FuzzDifferential, RandomDagsAgreeAcrossSchemesModesAndExecutors) {
         }
         ASSERT_EQ(via_session.to_json(), via_compiled.to_json())
             << "trial " << trial << " " << scheme_name(scheme);
-        ASSERT_EQ(via_session.totals, engine.stats())
+        ASSERT_EQ(via_session.totals, oracle_stats)
             << "trial " << trial << " " << scheme_name(scheme);
       }
     }

@@ -2,8 +2,10 @@
 // core in api/compiled_model.cpp):
 //
 //  * residual (add) and branch/concat blocks execute end-to-end and are
-//    bit-exact against a hand-wired ConvEngine evaluation of the same
-//    topology, for all three decomposition schemes and FP16/INT modes;
+//    bit-exact (outputs and DatapathStats) against a hand-wired evaluation
+//    of the same topology on the independent per-op oracle
+//    (tests/conv_oracle.h), for all three decomposition schemes and
+//    FP16/INT modes;
 //  * parallel-branch dispatch is deterministic: 1 and N pool threads
 //    produce identical outputs, per-node stats and serialized reports;
 //  * estimate(graph) reproduces simulate_network on the equivalent shape
@@ -18,9 +20,11 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 
 #include "api/session.h"
 #include "common/rng.h"
+#include "conv_oracle.h"
 #include "nn/elementwise.h"
 #include "workload/graph_builders.h"
 
@@ -42,6 +46,24 @@ const FilterBank& filters_of(const GraphModel& g, const std::string& name) {
   }
   throw std::runtime_error("no node named " + name);
 }
+
+/// Per-op oracle convs of one hand-wired evaluation, summing their datapath
+/// counters.
+struct OracleChain {
+  DatapathConfig cfg;
+  DatapathStats stats;
+
+  Tensor fp16(const Tensor& x, const FilterBank& f, const ConvSpec& s) {
+    return take(oracle::conv_fp16(x, f, s, cfg, AccumKind::kFp32));
+  }
+  Tensor int8(const Tensor& x, const FilterBank& f, const ConvSpec& s) {
+    return take(oracle::conv_int(x, f, s, cfg, 8, 8));
+  }
+  Tensor take(oracle::ConvResult r) {
+    stats += r.stats;
+    return std::move(r.output);
+  }
+};
 
 void expect_tensors_identical(const Tensor& a, const Tensor& b,
                               const char* what) {
@@ -68,14 +90,10 @@ TEST(GraphModelTest, ResidualBlockBitExactVsHandWiredAllSchemes) {
     Session session(spec);
     const RunReport report = session.run(block, input);
 
-    // Hand-wired: the same topology evaluated call by call on one
-    // ConvEngine (stride-2 projection block: conv1+relu, conv2, 1x1 down,
-    // add, relu).
-    ConvEngineConfig ec;
-    ec.datapath = spec.datapath;
-    ec.accum = AccumKind::kFp32;
-    ec.threads = 1;
-    ConvEngine engine(ec);
+    // Hand-wired: the same topology evaluated call by call on the per-op
+    // oracle (stride-2 projection block: conv1+relu, conv2, 1x1 down, add,
+    // relu).
+    OracleChain chain{spec.datapath, {}};
     ConvSpec s31;
     s31.stride = 2;
     s31.pad = 1;
@@ -84,15 +102,14 @@ TEST(GraphModelTest, ResidualBlockBitExactVsHandWiredAllSchemes) {
     ConvSpec sd;
     sd.stride = 2;
     const Tensor c1 =
-        relu(engine.conv_fp16(input, filters_of(block, "block.conv1"), s31));
-    const Tensor c2 =
-        engine.conv_fp16(c1, filters_of(block, "block.conv2"), s11);
+        relu(chain.fp16(input, filters_of(block, "block.conv1"), s31));
+    const Tensor c2 = chain.fp16(c1, filters_of(block, "block.conv2"), s11);
     const Tensor skip =
-        engine.conv_fp16(input, filters_of(block, "block.down"), sd);
+        chain.fp16(input, filters_of(block, "block.down"), sd);
     const Tensor expected = relu(tensor_add(c2, skip));
 
     expect_tensors_identical(report.output, expected, scheme_name(scheme));
-    EXPECT_EQ(report.totals, engine.stats()) << scheme_name(scheme);
+    EXPECT_EQ(report.totals, chain.stats) << scheme_name(scheme);
 
     // CompiledModel path agrees byte for byte with the Session path.
     const CompiledModel compiled = session.compile(block, {9, 9});
@@ -126,19 +143,16 @@ TEST(GraphModelTest, IdentitySkipAndIntPolicyBitExactVsHandWired) {
     Session session(spec);
     const RunReport report = session.run(block, input);
 
-    ConvEngineConfig ec;
-    ec.datapath = spec.datapath;
-    ec.threads = 1;
-    ConvEngine engine(ec);
+    OracleChain chain{spec.datapath, {}};
     ConvSpec s11;
     s11.pad = 1;
-    const Tensor c1 = relu(
-        engine.conv_int(input, filters_of(block, "block.conv1"), s11, 8, 8));
-    const Tensor c2 =
-        engine.conv_int(c1, filters_of(block, "block.conv2"), s11, 8, 8);
+    const Tensor c1 =
+        relu(chain.int8(input, filters_of(block, "block.conv1"), s11));
+    const Tensor c2 = chain.int8(c1, filters_of(block, "block.conv2"), s11);
     const Tensor expected = relu(tensor_add(c2, input));
 
     expect_tensors_identical(report.output, expected, scheme_name(scheme));
+    EXPECT_EQ(report.totals, chain.stats) << scheme_name(scheme);
     ASSERT_EQ(report.layers.size(), 3u);  // conv1, conv2, add
     EXPECT_EQ(report.layers[0].precision, "int8x8");
     EXPECT_GT(report.totals.int_ops, 0);
@@ -158,35 +172,30 @@ TEST(GraphModelTest, InceptionBlockConcatBitExactVsHandWired) {
   Session session(spec);
   const RunReport report = session.run(block, input);
 
-  ConvEngineConfig ec;
-  ec.datapath = spec.datapath;
-  ec.accum = AccumKind::kFp32;
-  ec.threads = 1;
-  ConvEngine engine(ec);
+  OracleChain chain{spec.datapath, {}};
   ConvSpec s1;
   ConvSpec s5;
   s5.pad = 2;
   ConvSpec s3;
   s3.pad = 1;
   const Tensor b1 =
-      relu(engine.conv_fp16(input, filters_of(block, "mixed5.b1x1"), s1));
+      relu(chain.fp16(input, filters_of(block, "mixed5.b1x1"), s1));
   const Tensor b5r =
-      relu(engine.conv_fp16(input, filters_of(block, "mixed5.b5x5r"), s1));
-  const Tensor b5 =
-      relu(engine.conv_fp16(b5r, filters_of(block, "mixed5.b5x5"), s5));
+      relu(chain.fp16(input, filters_of(block, "mixed5.b5x5r"), s1));
+  const Tensor b5 = relu(chain.fp16(b5r, filters_of(block, "mixed5.b5x5"), s5));
   const Tensor b3r =
-      relu(engine.conv_fp16(input, filters_of(block, "mixed5.b3x3r"), s1));
+      relu(chain.fp16(input, filters_of(block, "mixed5.b3x3r"), s1));
   const Tensor b3a =
-      relu(engine.conv_fp16(b3r, filters_of(block, "mixed5.b3x3a"), s3));
+      relu(chain.fp16(b3r, filters_of(block, "mixed5.b3x3a"), s3));
   const Tensor b3b =
-      relu(engine.conv_fp16(b3a, filters_of(block, "mixed5.b3x3b"), s3));
+      relu(chain.fp16(b3a, filters_of(block, "mixed5.b3x3b"), s3));
   const Tensor bp =
-      relu(engine.conv_fp16(input, filters_of(block, "mixed5.pool1x1"), s1));
+      relu(chain.fp16(input, filters_of(block, "mixed5.pool1x1"), s1));
   const Tensor expected = channel_concat({&b1, &b5, &b3b, &bp});
 
   ASSERT_EQ(report.output.c, 64 + 64 + 96 + 32);
   expect_tensors_identical(report.output, expected, "inception-a");
-  EXPECT_EQ(report.totals, engine.stats());
+  EXPECT_EQ(report.totals, chain.stats);
   EXPECT_EQ(report.layers.back().precision, "concat");
 }
 

@@ -4,10 +4,11 @@
 #include <gtest/gtest.h>
 
 #include "analysis/error_metrics.h"
+#include "core/ipu.h"
 #include "model/hw_model.h"
 #include "nn/conv.h"
 #include "sim/cycle_sim.h"
-#include "workload/quantizer.h"
+#include "single_conv.h"
 
 namespace mpipu {
 namespace {
@@ -18,16 +19,19 @@ TEST(Integration, QuantizedIntConvTracksFp16ConvAsBitsGrow) {
   Rng rng(81);
   Tensor in = random_tensor(rng, 8, 6, 6, ValueDist::kHalfNormal, 1.0);
   FilterBank f = random_filters(rng, 4, 8, 3, 3, ValueDist::kNormal, 0.1);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 8;
   cfg.adder_tree_width = 28;
   cfg.software_precision = 28;
   const Tensor fp_out =
-      conv_ipu_fp16(in.rounded_to_fp16(), f.rounded_to_fp16(), ConvSpec{}, cfg,
-                    AccumKind::kFp32);
+      run_single_conv(in.rounded_to_fp16(), f.rounded_to_fp16(), ConvSpec{},
+                      cfg, LayerPrecision::fp16(AccumKind::kFp32))
+          .output;
   double prev_snr = -100.0;
   for (int bits : {4, 8, 12}) {
-    const Tensor int_out = conv_ipu_int(in, f, ConvSpec{}, cfg, bits, bits);
+    const Tensor int_out = run_single_conv(in, f, ConvSpec{}, cfg,
+                                           LayerPrecision::int_bits(bits, bits))
+                               .output;
     const double snr = compare_outputs(int_out, fp_out).snr_db;
     EXPECT_GT(snr, prev_snr);
     prev_snr = snr;

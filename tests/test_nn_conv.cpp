@@ -1,14 +1,19 @@
-// Integration tests: convolution on the bit-accurate IPU datapath vs the
-// exact reference -- the mechanism behind the paper's §3.1 accuracy claims.
+// Integration tests: convolution on the bit-accurate IPU datapath (a
+// one-layer Model through Session::run) vs the exact reference -- the
+// mechanism behind the paper's §3.1 accuracy claims.
 #include <gtest/gtest.h>
 
 #include "nn/conv.h"
+#include "single_conv.h"
+#include "workload/quantizer.h"
 
 namespace mpipu {
 namespace {
 
-IpuConfig wide_ipu() {
-  IpuConfig cfg;
+const LayerPrecision kFp32Acc = LayerPrecision::fp16(AccumKind::kFp32);
+
+DatapathConfig wide_ipu() {
+  DatapathConfig cfg;
   cfg.n_inputs = 16;
   cfg.adder_tree_width = 38;
   cfg.software_precision = 58;
@@ -59,7 +64,8 @@ TEST(ConvIpu, WideIpuConvIsExactOnFp16Inputs) {
   FilterBank f =
       random_filters(rng, 4, 8, 3, 3, ValueDist::kNormal, 0.1).rounded_to_fp16();
   const Tensor ref = conv_reference(in, f, ConvSpec{});
-  const Tensor got = conv_ipu_fp16(in, f, ConvSpec{}, wide_ipu(), AccumKind::kFp32);
+  const Tensor got =
+      run_single_conv(in, f, ConvSpec{}, wide_ipu(), kFp32Acc).output;
   const AgreementStats s = compare_outputs(got, ref);
   // Every output within half an FP32 ULP of the exact value.
   EXPECT_EQ(s.mismatched_fp16, 0);
@@ -72,13 +78,13 @@ TEST(ConvIpu, Precision16MatchesReferenceThroughFp16Rounding) {
   Tensor in = random_tensor(rng, 16, 8, 8, ValueDist::kHalfNormal, 1.0).rounded_to_fp16();
   FilterBank f =
       random_filters(rng, 8, 16, 3, 3, ValueDist::kNormal, 0.05).rounded_to_fp16();
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 16;
   cfg.adder_tree_width = 28;
   cfg.software_precision = 28;
   cfg.multi_cycle = true;
   const Tensor ref = conv_reference(in, f, ConvSpec{});
-  const Tensor got = conv_ipu_fp16(in, f, ConvSpec{}, cfg, AccumKind::kFp32);
+  const Tensor got = run_single_conv(in, f, ConvSpec{}, cfg, kFp32Acc).output;
   const AgreementStats s = compare_outputs(got, ref);
   EXPECT_GT(s.snr_db, 55.0);
   EXPECT_LT(static_cast<double>(s.mismatched_fp16) / static_cast<double>(s.total), 0.02);
@@ -92,12 +98,12 @@ TEST(ConvIpu, LowPrecisionDegradesGracefully) {
   const Tensor ref = conv_reference(in, f, ConvSpec{});
   double prev_snr = -100.0;
   for (int w : {8, 12, 16, 24}) {
-    IpuConfig cfg;
+    DatapathConfig cfg;
     cfg.n_inputs = 16;
     cfg.adder_tree_width = w;
     cfg.software_precision = w;
     cfg.multi_cycle = false;
-    const Tensor got = conv_ipu_fp16(in, f, ConvSpec{}, cfg, AccumKind::kFp32);
+    const Tensor got = run_single_conv(in, f, ConvSpec{}, cfg, kFp32Acc).output;
     const double snr = compare_outputs(got, ref).snr_db;
     EXPECT_GE(snr, prev_snr - 3.0) << w;  // approximately monotone
     prev_snr = snr;
@@ -109,11 +115,13 @@ TEST(ConvIpu, IntConvMatchesQuantizedReference) {
   Rng rng(24);
   Tensor in = random_tensor(rng, 8, 5, 5, ValueDist::kHalfNormal, 1.0);
   FilterBank f = random_filters(rng, 4, 8, 3, 3, ValueDist::kNormal, 0.1);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 8;
   cfg.adder_tree_width = 12;
   for (int bits : {4, 8}) {
-    const Tensor got = conv_ipu_int(in, f, ConvSpec{}, cfg, bits, bits);
+    const Tensor got = run_single_conv(in, f, ConvSpec{}, cfg,
+                                       LayerPrecision::int_bits(bits, bits))
+                           .output;
     // Build the quantized reference by hand.
     const QuantParams qa = fit_symmetric(in.data, bits);
     const QuantParams qw = fit_symmetric(f.data, bits);
@@ -131,13 +139,17 @@ TEST(ConvIpu, Int4CoarserThanInt8) {
   Rng rng(25);
   Tensor in = random_tensor(rng, 8, 6, 6, ValueDist::kHalfNormal, 1.0);
   FilterBank f = random_filters(rng, 4, 8, 3, 3, ValueDist::kNormal, 0.1);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 8;
   const Tensor ref = conv_reference(in, f, ConvSpec{});
-  const double snr4 =
-      compare_outputs(conv_ipu_int(in, f, ConvSpec{}, cfg, 4, 4), ref).snr_db;
-  const double snr8 =
-      compare_outputs(conv_ipu_int(in, f, ConvSpec{}, cfg, 8, 8), ref).snr_db;
+  auto int_snr = [&](int bits) {
+    const Tensor got = run_single_conv(in, f, ConvSpec{}, cfg,
+                                       LayerPrecision::int_bits(bits, bits))
+                           .output;
+    return compare_outputs(got, ref).snr_db;
+  };
+  const double snr4 = int_snr(4);
+  const double snr8 = int_snr(8);
   EXPECT_GT(snr8, snr4 + 10.0);
   EXPECT_GT(snr4, 10.0);
 }
@@ -147,8 +159,8 @@ TEST(ConvIpu, CyclesAccountNineIterationsPerOp) {
   Tensor in = random_tensor(rng, 16, 4, 4, ValueDist::kNormal, 1.0).rounded_to_fp16();
   FilterBank f =
       random_filters(rng, 2, 16, 1, 1, ValueDist::kNormal, 0.1).rounded_to_fp16();
-  IpuConvStats stats;
-  conv_ipu_fp16(in, f, ConvSpec{}, wide_ipu(), AccumKind::kFp32, &stats);
+  const DatapathStats stats =
+      run_single_conv(in, f, ConvSpec{}, wide_ipu(), kFp32Acc).totals;
   // 2 cout * 16 pixels * 1 chunk = 32 ops, 9 cycles each (single-cycle IPU).
   EXPECT_EQ(stats.fp_ops, 32);
   EXPECT_EQ(stats.cycles, 32 * 9);

@@ -5,7 +5,8 @@
 //   * all three decomposition schemes x {FP16, FP32} accumulation regimes
 //     (software precision 16 / 28 with the matching readout),
 //   * INT mode (temporal digit planes, serial raw-value streaming),
-//   * full convolutions including border-pixel clip classes (pad/stride
+//   * full convolutions (a one-layer Model through Session::run, at 1 and 3
+//     threads) including border-pixel clip classes (pad/stride
 //     combinations) and the skip_zero_iterations sparse ablation,
 //   * the allocation-free EHU overloads (Decoded spans, exponent planes,
 //     and scratch reuse across calls) against the allocating one.
@@ -20,6 +21,7 @@
 #include "core/serial_ipu.h"
 #include "core/spatial_ipu.h"
 #include "nn/conv.h"
+#include "single_conv.h"
 #include "workload/quantizer.h"
 
 namespace mpipu {
@@ -414,19 +416,17 @@ TEST(PreparedConv, BorderClipClassesAndStridesMatchPerOpAllSchemes) {
                                                input, filters, spec, &ref_cycles);
 
         for (int threads : {1, 3}) {
-          ConvEngineConfig ec;
-          ec.datapath = cfg;
-          ec.accum = accum;
-          ec.threads = threads;
-          ConvEngine engine(ec);
-          const Tensor got = engine.conv_fp16(input, filters, spec);
+          const RunReport run =
+              run_single_conv(input, filters, spec, cfg,
+                              LayerPrecision::fp16(accum), threads);
+          const Tensor& got = run.output;
           ASSERT_EQ(got.data.size(), expect.data.size());
           for (size_t i = 0; i < got.data.size(); ++i) {
             EXPECT_EQ(got.data[i], expect.data[i])
                 << scheme_name(scheme) << " stride=" << g.stride
                 << " pad=" << g.pad << " threads=" << threads << " elt " << i;
           }
-          EXPECT_EQ(engine.stats().cycles, ref_cycles)
+          EXPECT_EQ(run.totals.cycles, ref_cycles)
               << scheme_name(scheme) << " stride=" << g.stride
               << " pad=" << g.pad << " threads=" << threads;
         }
@@ -458,18 +458,18 @@ TEST(PreparedConv, SparseAblationConvMatchesPerOp) {
       ref, [&] { return Fp32::round_from_fixed(ref.raw()).to_double(); },
       cfg.n_inputs, input, filters, spec, &ref_cycles);
 
-  ConvEngineConfig ec;
-  ec.datapath = cfg;
-  ec.accum = AccumKind::kFp32;
-  ec.threads = 1;
-  ConvEngine engine(ec);
-  const Tensor got = engine.conv_fp16(input, filters, spec);
-  for (size_t i = 0; i < got.data.size(); ++i) {
-    EXPECT_EQ(got.data[i], expect.data[i]) << i;
+  for (int threads : {1, 3}) {
+    const RunReport run =
+        run_single_conv(input, filters, spec, cfg,
+                        LayerPrecision::fp16(AccumKind::kFp32), threads);
+    for (size_t i = 0; i < run.output.data.size(); ++i) {
+      EXPECT_EQ(run.output.data[i], expect.data[i]) << threads << " " << i;
+    }
+    EXPECT_EQ(run.totals.cycles, ref_cycles) << threads;
+    EXPECT_EQ(run.totals.skipped_iterations, ipu.stats().skipped_iterations)
+        << threads;
   }
-  EXPECT_EQ(engine.stats().cycles, ref_cycles);
-  EXPECT_EQ(engine.stats().skipped_iterations, ipu.stats().skipped_iterations);
-  EXPECT_GT(engine.stats().skipped_iterations, 0);
+  EXPECT_GT(ipu.stats().skipped_iterations, 0);
 }
 
 TEST(PreparedConv, IntConvMatchesPerOpQuantizedLoop) {
@@ -548,13 +548,20 @@ TEST(PreparedConv, IntConvMatchesPerOpQuantizedLoop) {
       }
     }
 
-    ConvEngineConfig ec;
-    ec.datapath = cfg;
-    ec.threads = 2;
-    ConvEngine engine(ec);
-    const Tensor got = engine.conv_int(input, filters, spec, 8, 8);
-    for (size_t i = 0; i < got.data.size(); ++i) {
-      EXPECT_EQ(got.data[i], expect.data[i]) << scheme_name(scheme) << " " << i;
+    const bool temporal = scheme == DecompositionScheme::kTemporal;
+    const int64_t ref_ops =
+        temporal ? ipu.stats().int_ops : serial.stats().int_ops;
+    const int64_t ref_cycles =
+        temporal ? ipu.stats().cycles : serial.stats().cycles;
+    for (int threads : {1, 3}) {
+      const RunReport run = run_single_conv(
+          input, filters, spec, cfg, LayerPrecision::int_bits(8, 8), threads);
+      for (size_t i = 0; i < run.output.data.size(); ++i) {
+        EXPECT_EQ(run.output.data[i], expect.data[i])
+            << scheme_name(scheme) << " threads=" << threads << " " << i;
+      }
+      EXPECT_EQ(run.totals.int_ops, ref_ops) << scheme_name(scheme);
+      EXPECT_EQ(run.totals.cycles, ref_cycles) << scheme_name(scheme);
     }
   }
 }

@@ -1,22 +1,27 @@
 // Tests for the high-level Session/RunSpec API (src/api):
 //
-//  * Session::run is bit-exact vs the equivalent hand-wired ConvEngine
-//    layer chain (the facade adds no numeric behaviour of its own);
+//  * Session::run is bit-exact (outputs and DatapathStats) vs the
+//    equivalent layer chain hand-wired on the independent per-op oracle
+//    (tests/conv_oracle.h);
 //  * run_batch determinism: 1 thread and N threads produce identical
 //    output tensors and identical stats reductions;
 //  * PrecisionPolicy dispatch: INT layers on the FP-only spatial datapath
 //    are rejected with a clear error before anything executes;
 //  * Session::estimate reproduces simulate_network for the same config
 //    (one RunSpec drives both paths);
-//  * Model construction/validation and RunReport JSON emission.
+//  * Model construction/validation and RunReport JSON emission;
+//  * Session::reference rejects an input/model channel mismatch, like run.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "api/session.h"
 #include "common/rng.h"
+#include "conv_oracle.h"
+#include "workload/graph_builders.h"
 
 namespace mpipu {
 namespace {
@@ -54,7 +59,7 @@ PrecisionPolicy mixed_policy() {
   return policy;
 }
 
-TEST(SessionRun, BitExactVsHandWiredConvEngineChain) {
+TEST(SessionRun, BitExactVsPerOpOracleChain) {
   Rng rng(21);
   const Model model = tiny_model(rng);
   const Tensor input = random_tensor(rng, 3, 12, 12, ValueDist::kHalfNormal, 1.0);
@@ -66,23 +71,28 @@ TEST(SessionRun, BitExactVsHandWiredConvEngineChain) {
   Session session(spec);
   const RunReport report = session.run(model, input);
 
-  // The equivalent hand-wired chain on one ConvEngine.
-  ConvEngineConfig ec;
-  ec.datapath = spec.datapath;
-  ec.accum = AccumKind::kFp32;
-  ec.threads = 1;
-  ConvEngine engine(ec);
+  // The equivalent chain hand-wired on the per-op oracle.
   const auto& layers = model.layers();
-  Tensor x = relu(engine.conv_fp16(input, layers[0].filters, layers[0].spec));
-  x = maxpool2(relu(engine.conv_int(x, layers[1].filters, layers[1].spec, 8, 8)));
-  x = engine.conv_fp16(x, layers[2].filters, layers[2].spec);
+  const oracle::ConvResult c1 = oracle::conv_fp16(
+      input, layers[0].filters, layers[0].spec, spec.datapath, AccumKind::kFp32);
+  const oracle::ConvResult c2 =
+      oracle::conv_int(relu(c1.output), layers[1].filters, layers[1].spec,
+                       spec.datapath, 8, 8);
+  const oracle::ConvResult c3 =
+      oracle::conv_fp16(maxpool2(relu(c2.output)), layers[2].filters,
+                        layers[2].spec, spec.datapath, AccumKind::kFp32);
+  const Tensor& x = c3.output;
+  DatapathStats oracle_stats = c1.stats;
+  oracle_stats += c2.stats;
+  oracle_stats += c3.stats;
 
   ASSERT_EQ(report.output.data.size(), x.data.size());
   for (size_t i = 0; i < x.data.size(); ++i) {
     EXPECT_EQ(report.output.data[i], x.data[i]) << "elt " << i;
   }
-  EXPECT_EQ(report.totals, engine.stats());
+  EXPECT_EQ(report.totals, oracle_stats);
   ASSERT_EQ(report.layers.size(), 3u);
+  EXPECT_EQ(report.layers[1].stats, c2.stats);
   EXPECT_EQ(report.layers[0].precision, "fp16+fp32acc");
   EXPECT_EQ(report.layers[1].precision, "int8x8");
   EXPECT_GT(report.layers[1].stats.int_ops, 0);
@@ -323,6 +333,46 @@ TEST(RunReportJson, EmitsStructuredDocument) {
   const std::string bjson = batch.to_json();
   EXPECT_NE(bjson.find("\"batch\""), std::string::npos);
   EXPECT_NE(bjson.find("\"runs\""), std::string::npos);
+}
+
+// Regression: Session::reference skipped run()'s channel check, so a
+// narrower input silently returned a "reference" and a wider one read past
+// the filter bank inside conv_reference.  Both overloads, both directions.
+TEST(SessionReference, RejectsChannelMismatchLikeRun) {
+  Rng rng(27);
+  const Model model = tiny_model(rng);  // reads 3 channels
+  GraphModel graph = resnet_basic_block_graph(4, 6, 2);  // reads 4
+  graph.materialize_weights(28);
+
+  for (const int c : {2, 8}) {
+    const Tensor input = random_tensor(rng, c, 6, 6, ValueDist::kHalfNormal, 1.0);
+    try {
+      (void)Session::reference(model, input);
+      ADD_FAILURE() << "model: expected std::invalid_argument for " << c;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "Session::reference: input has " + std::to_string(c) +
+                    " channels but layer 'conv1' expects 3");
+    }
+    try {
+      (void)Session::reference(graph, input);
+      ADD_FAILURE() << "graph: expected std::invalid_argument for " << c;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "Session::reference: input has " + std::to_string(c) +
+                    " channels but graph '" + graph.name() + "' expects 4");
+    }
+  }
+
+  // Matching inputs are unaffected.
+  EXPECT_EQ(Session::reference(model, random_tensor(rng, 3, 6, 6,
+                                                    ValueDist::kHalfNormal, 1.0))
+                .c,
+            4);
+  EXPECT_EQ(Session::reference(graph, random_tensor(rng, 4, 6, 6,
+                                                    ValueDist::kHalfNormal, 1.0))
+                .c,
+            6);
 }
 
 // Regression: the compile-on-first-use cache used to be unsynchronized, so

@@ -34,9 +34,7 @@ using simd::KernelTable;
 /// Every vector backend compiled into this binary.
 std::vector<Backend> vector_backends() {
   std::vector<Backend> v;
-  for (Backend b : {Backend::kAvx2, Backend::kNeon}) {
-    if (simd::backend_compiled(b)) v.push_back(b);
-  }
+  if (simd::backend_compiled(Backend::kAvx2)) v.push_back(Backend::kAvx2);
   return v;
 }
 
