@@ -6,7 +6,6 @@
 #include "common/fnv1a.h"
 #include "core/simd/simd.h"
 #include "nn/elementwise.h"
-#include "sim/partition.h"
 
 namespace mpipu {
 
@@ -277,101 +276,34 @@ std::shared_ptr<const std::vector<Tensor>> CompiledModel::reference_chain(
   return refs;
 }
 
-void CompiledModel::exec_node(
-    int id, std::vector<Tensor>& acts, std::vector<DatapathStats>& stats,
-    ThreadPool& pool, std::span<const std::unique_ptr<Datapath>> units) const {
+DatapathStats CompiledModel::exec_node(
+    int id, std::vector<Tensor>& acts, ThreadPool& pool,
+    std::span<const std::unique_ptr<Datapath>> units) const {
   const GraphNode& nd = nodes_[static_cast<size_t>(id)];
   Tensor y;
+  DatapathStats delta;
   if (nd.op == GraphNode::Op::kConv) {
     const CompiledNode& cl = compiled_[static_cast<size_t>(id)];
     const Tensor& x = acts[static_cast<size_t>(nd.inputs[0])];
-    const bool fp16 = cl.precision.kind == LayerPrecision::Kind::kFp16;
-    const int cout = fp16 ? cl.fp16_plan.cout : cl.int_plan.cout;
-    const int ho = fp16 ? cl.fp16_plan.ho : cl.int_plan.ho;
-
-    // Host-sharded mode (RunSpec.partition.shard_host): mirror the sim's
-    // tile partition on the host pool -- one shard per tile, joined exactly.
-    // Byte-identity with the unsharded path holds because (a) every output
-    // element's accumulate sequence depends only on its own (co, y, x) --
-    // see run_conv_plan_shard -- and (b) DatapathStats are additive per-op
-    // counters, so the sum of fresh per-shard units equals the unsharded
-    // before/after delta regardless of order or thread count.
-    std::vector<ShardRange> shards;
-    if (spec_.partition.shard_host && spec_.tile.num_tiles > 1) {
-      for (const ShardRange& r : partition_output(
-               cout, ho, spec_.tile.num_tiles, spec_.partition.kind)) {
-        if (!r.empty()) shards.push_back(r);
-      }
-    }
-    if (shards.size() > 1) {
-      // Prepared once, shared `const` across shards: activation
-      // quantization must see the FULL input (fit_symmetric over all
-      // values), exactly as the unsharded path does.
-      PreparedFp16 fp_planes;
-      PreparedInt int_planes;
-      QuantParams qa{};
-      if (fp16) {
-        fp_planes = prepare_fp16_planes(x.data);
-      } else {
-        qa = fit_symmetric(x.data, cl.precision.a_bits);
-        int_planes = prepare_int_planes(x.data, qa, cl.int_digits);
-      }
-      std::vector<Tensor> parts(shards.size());
-      std::vector<DatapathStats> part_stats(shards.size());
-      pool.parallel_for(
-          static_cast<int64_t>(shards.size()),
-          [&](int64_t begin, int64_t end, int) {
-            for (int64_t i = begin; i < end; ++i) {
-              const ShardRange& r = shards[static_cast<size_t>(i)];
-              // Same dispatch shape as multi-node waves: a private inline
-              // (threadless) pool and a fresh datapath per shard keep
-              // per-shard stats deterministic for any pool size.
-              ThreadPool inline_pool(1);
-              std::vector<std::unique_ptr<Datapath>> unit;
-              unit.push_back(make_datapath(spec_.datapath));
-              parts[static_cast<size_t>(i)] =
-                  fp16 ? execute_fp16_plan_shard(
-                             cl.fp16_plan, fp_planes, inline_pool, unit,
-                             spec_.datapath.n_inputs, cl.precision.accum,
-                             r.co_begin, r.co_end, r.row_begin, r.row_end)
-                       : execute_int_plan_shard(
-                             cl.int_plan, int_planes, inline_pool, unit,
-                             spec_.datapath.n_inputs, cl.precision.a_bits,
-                             cl.precision.w_bits, qa, cl.qw, r.co_begin,
-                             r.co_end, r.row_begin, r.row_end);
-              part_stats[static_cast<size_t>(i)] = unit[0]->stats();
-            }
-          });
-      std::vector<const Tensor*> part_ptrs;
-      part_ptrs.reserve(parts.size());
-      for (const Tensor& t : parts) part_ptrs.push_back(&t);
-      y = spec_.partition.kind == PartitionKind::kOutputChannel
-              ? channel_concat(part_ptrs)
-              : row_concat(part_ptrs);
-      DatapathStats sum;
-      for (const DatapathStats& s : part_stats) sum += s;
-      stats[static_cast<size_t>(id)] = sum;
+    DatapathStats before;
+    for (const auto& u : units) before += u->stats();
+    if (cl.precision.kind == LayerPrecision::Kind::kFp16) {
+      const PreparedFp16 in_planes = prepare_fp16_planes(x.data);
+      y = execute_fp16_plan(cl.fp16_plan, in_planes, pool, units,
+                            spec_.datapath.n_inputs, cl.precision.accum);
     } else {
-      DatapathStats before;
-      for (const auto& u : units) before += u->stats();
-      if (fp16) {
-        const PreparedFp16 in_planes = prepare_fp16_planes(x.data);
-        y = execute_fp16_plan(cl.fp16_plan, in_planes, pool, units,
-                              spec_.datapath.n_inputs, cl.precision.accum);
-      } else {
-        // Activation quantization depends on the input values; only the
-        // weight side was frozen at compile time.
-        const QuantParams qa = fit_symmetric(x.data, cl.precision.a_bits);
-        const PreparedInt in_planes =
-            prepare_int_planes(x.data, qa, cl.int_digits);
-        y = execute_int_plan(cl.int_plan, in_planes, pool, units,
-                             spec_.datapath.n_inputs, cl.precision.a_bits,
-                             cl.precision.w_bits, qa, cl.qw);
-      }
-      DatapathStats after;
-      for (const auto& u : units) after += u->stats();
-      stats[static_cast<size_t>(id)] = after - before;
+      // Activation quantization depends on the input values; only the
+      // weight side was frozen at compile time.
+      const QuantParams qa = fit_symmetric(x.data, cl.precision.a_bits);
+      const PreparedInt in_planes =
+          prepare_int_planes(x.data, qa, cl.int_digits);
+      y = execute_int_plan(cl.int_plan, in_planes, pool, units,
+                           spec_.datapath.n_inputs, cl.precision.a_bits,
+                           cl.precision.w_bits, qa, cl.qw);
     }
+    DatapathStats after;
+    for (const auto& u : units) after += u->stats();
+    delta = after - before;
   } else {
     // Joins are exact elementwise ops: no datapath work, no stats.
     std::vector<const Tensor*> parts;
@@ -381,12 +313,13 @@ void CompiledModel::exec_node(
                                      : channel_concat(parts);
   }
   acts[static_cast<size_t>(id)] = apply_post_ops(std::move(y), nd.relu, nd.pool);
+  return delta;
 }
 
 RunReport CompiledModel::run(const Tensor& input, const RunOptions& opts,
                              ThreadPool& pool) const {
-  // Per-call scratch: one private datapath per worker slot for single-node
-  // waves (pixel-level parallelism).  The plans themselves are only read.
+  // Per-call scratch: one private datapath per worker slot.  The plans
+  // themselves are only read.
   std::vector<std::unique_ptr<Datapath>> units;
   units.reserve(static_cast<size_t>(pool.size()));
   for (int slot = 0; slot < pool.size(); ++slot) {
@@ -411,33 +344,10 @@ RunReport CompiledModel::run_with_units(
 
   std::vector<Tensor> acts(nodes_.size());
   acts[static_cast<size_t>(topo_.input_node)] = input;
-  std::vector<DatapathStats> node_stats(nodes_.size());
 
-  for (const std::vector<int>& wave : topo_.waves) {
-    if (wave.size() == 1) {
-      // The chain fast path: one node gets the whole pool, parallel over
-      // output pixels -- bit-identical to the pre-graph executor.
-      exec_node(wave[0], acts, node_stats, pool, units);
-      continue;
-    }
-    // Independent branches: one node per worker, each with a private
-    // inline (threadless) pool and its own fresh datapath so per-node
-    // stats stay deterministic for any pool size.
-    pool.parallel_for(
-        static_cast<int64_t>(wave.size()),
-        [&](int64_t begin, int64_t end, int) {
-          for (int64_t i = begin; i < end; ++i) {
-            const int id = wave[static_cast<size_t>(i)];
-            ThreadPool inline_pool(1);
-            std::vector<std::unique_ptr<Datapath>> unit;
-            if (nodes_[static_cast<size_t>(id)].op == GraphNode::Op::kConv) {
-              unit.push_back(make_datapath(spec_.datapath));
-            }
-            exec_node(id, acts, node_stats, inline_pool, unit);
-          }
-        });
-  }
-
+  // Nodes run one after another in topological order, each on the whole
+  // pool: the executor splits every conv over (pixel, output channel), so
+  // even a 1x1 output map keeps all slots busy.
   for (int id : topo_.order) {
     if (id == topo_.input_node) continue;
     const GraphNode& nd = nodes_[static_cast<size_t>(id)];
@@ -446,7 +356,7 @@ RunReport CompiledModel::run_with_units(
     lr.precision = nd.op == GraphNode::Op::kConv
                        ? compiled_[static_cast<size_t>(id)].precision_label
                        : graph_op_name(nd.op);
-    lr.stats = node_stats[static_cast<size_t>(id)];
+    lr.stats = exec_node(id, acts, pool, units);
     if (refs) lr.error = compare_outputs(acts[static_cast<size_t>(id)],
                                          (*refs)[static_cast<size_t>(id)]);
     report.totals += lr.stats;

@@ -19,14 +19,13 @@
 //     anything executes.
 //
 // Since the graph extension (api/graph_model.h) the execution core is a
-// DAG: a chain Model compiles into the degenerate one-node-per-wave graph,
-// a GraphModel into its topological wave structure.  Waves holding several
-// independent nodes (parallel ResNet/Inception branches) are dispatched
-// concurrently over the caller's pool, one node per worker with a private
-// single-threaded scratch; single-node waves keep the chain path's
-// pixel-level parallelism.  Either way outputs AND per-node stats are
-// bit-identical for 1 and N pool threads (stats are sums over a fixed op
-// partition; every pixel is computed exactly once).
+// DAG: a chain Model compiles into the degenerate one-node-per-level graph,
+// a GraphModel into its topological order.  Nodes run one after another in
+// that order, each on the caller's whole pool: the conv executor splits a
+// node over (pixel, output channel), so a 1x1 output map or one branch of
+// a ResNet/Inception fan-out keeps every slot busy.  Outputs AND per-node
+// stats are bit-identical for 1 and N pool threads (stats are sums over a
+// fixed op partition; every output element is computed exactly once).
 //
 // run()/run_batch() are REENTRANT: every call builds its own scratch
 // (thread pool, per-slot datapaths, staged activation planes, stats) and
@@ -180,13 +179,12 @@ class CompiledModel {
   void validate_input(const Tensor& input) const;
   std::shared_ptr<const std::vector<Tensor>> reference_chain(
       const Tensor& input) const;
-  /// Execute one non-input node: reads predecessor activations, writes
-  /// acts[id] (post-ops applied) and stats[id].  `pool`/`units` are the
-  /// caller's scratch for this node (the full per-call pool for single-node
-  /// waves, a private inline unit for parallel-branch dispatch).
-  void exec_node(int id, std::vector<Tensor>& acts,
-                 std::vector<DatapathStats>& stats, ThreadPool& pool,
-                 std::span<const std::unique_ptr<Datapath>> units) const;
+  /// Execute one non-input node on the whole pool: reads predecessor
+  /// activations, writes acts[id] (post-ops applied) and returns the node's
+  /// datapath stats (the before/after delta over `units`; zero for joins).
+  DatapathStats exec_node(
+      int id, std::vector<Tensor>& acts, ThreadPool& pool,
+      std::span<const std::unique_ptr<Datapath>> units) const;
 
   RunSpec spec_;
   std::string name_;

@@ -24,8 +24,8 @@
 // channel agreement into convs, shape agreement at joins, non-collapsing
 // geometry -- all via analyze_graph(), which also fixes the deterministic
 // execution order (Kahn's algorithm, ascending node id among ready nodes)
-// and the wave structure (topological levels) that CompiledModel uses to
-// dispatch independent branches in parallel over the session's ThreadPool.
+// that CompiledModel runs nodes in, each on the whole ThreadPool, and the
+// wave structure (topological levels).
 //
 // PrecisionPolicy interaction: the policy resolves over *conv* nodes only,
 // indexed by execution order (joins carry no inner products, hence no

@@ -31,9 +31,7 @@ struct RunSpec {
   /// Sampling options for the cycle-sim path.
   SimOptions sim{};
   /// Multi-tile partitioning (sim/partition.h): how estimate() shards each
-  /// layer across tile.num_tiles tiles, and -- when partition.shard_host is
-  /// set -- whether run() mirrors the sharding on the host ThreadPool
-  /// (byte-identical outputs either way; see api/compiled_model.h).
+  /// layer across tile.num_tiles tiles.  run() does not read it.
   PartitionSpec partition{};
 };
 

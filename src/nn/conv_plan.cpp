@@ -54,14 +54,13 @@ ConvPlan<PreparedInt> build_int_plan(int input_c, int input_h, int input_w,
   return plan;
 }
 
-Tensor execute_fp16_plan_shard(const ConvPlan<PreparedFp16>& plan,
-                               const PreparedFp16& in_planes, ThreadPool& pool,
-                               std::span<const std::unique_ptr<Datapath>> units,
-                               int n_inputs, AccumKind accum, int co_begin,
-                               int co_end, int y_begin, int y_end) {
+Tensor execute_fp16_plan(const ConvPlan<PreparedFp16>& plan,
+                         const PreparedFp16& in_planes, ThreadPool& pool,
+                         std::span<const std::unique_ptr<Datapath>> units,
+                         int n_inputs, AccumKind accum) {
   const bool to_fp16 = accum == AccumKind::kFp16;
-  return run_conv_plan_shard<PreparedFp16>(
-      plan, in_planes, pool, units, n_inputs, co_begin, co_end, y_begin, y_end,
+  return run_conv_plan<PreparedFp16>(
+      plan, in_planes, pool, units, n_inputs,
       [](Datapath& dp, const PreparedFp16View& a, const PreparedFp16View& b) {
         dp.fp16_accumulate_prepared(a, b);
       },
@@ -70,23 +69,13 @@ Tensor execute_fp16_plan_shard(const ConvPlan<PreparedFp16>& plan,
       });
 }
 
-Tensor execute_fp16_plan(const ConvPlan<PreparedFp16>& plan,
-                         const PreparedFp16& in_planes, ThreadPool& pool,
-                         std::span<const std::unique_ptr<Datapath>> units,
-                         int n_inputs, AccumKind accum) {
-  return execute_fp16_plan_shard(plan, in_planes, pool, units, n_inputs, accum,
-                                 0, plan.cout, 0, plan.ho);
-}
-
-Tensor execute_int_plan_shard(const ConvPlan<PreparedInt>& plan,
-                              const PreparedInt& in_planes, ThreadPool& pool,
-                              std::span<const std::unique_ptr<Datapath>> units,
-                              int n_inputs, int a_bits, int w_bits,
-                              const QuantParams& qa, const QuantParams& qw,
-                              int co_begin, int co_end, int y_begin,
-                              int y_end) {
-  return run_conv_plan_shard<PreparedInt>(
-      plan, in_planes, pool, units, n_inputs, co_begin, co_end, y_begin, y_end,
+Tensor execute_int_plan(const ConvPlan<PreparedInt>& plan,
+                        const PreparedInt& in_planes, ThreadPool& pool,
+                        std::span<const std::unique_ptr<Datapath>> units,
+                        int n_inputs, int a_bits, int w_bits,
+                        const QuantParams& qa, const QuantParams& qw) {
+  return run_conv_plan<PreparedInt>(
+      plan, in_planes, pool, units, n_inputs,
       [a_bits, w_bits](Datapath& dp, const PreparedIntView& a,
                        const PreparedIntView& b) {
         dp.int_accumulate_prepared(a, b, a_bits, w_bits);
@@ -94,15 +83,6 @@ Tensor execute_int_plan_shard(const ConvPlan<PreparedInt>& plan,
       [&qa, &qw](Datapath& dp) {
         return dequantize_accumulator(dp.read_int(), qa, qw);
       });
-}
-
-Tensor execute_int_plan(const ConvPlan<PreparedInt>& plan,
-                        const PreparedInt& in_planes, ThreadPool& pool,
-                        std::span<const std::unique_ptr<Datapath>> units,
-                        int n_inputs, int a_bits, int w_bits,
-                        const QuantParams& qa, const QuantParams& qw) {
-  return execute_int_plan_shard(plan, in_planes, pool, units, n_inputs, a_bits,
-                                w_bits, qa, qw, 0, plan.cout, 0, plan.ho);
 }
 
 }  // namespace mpipu

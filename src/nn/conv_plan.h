@@ -13,10 +13,10 @@
 // The execution half is stateless with respect to the plan: `run_conv_plan`
 // streams per-call prepared activation planes against a `const` plan, using
 // caller-supplied scratch (a thread pool plus one private Datapath per
-// worker slot).  Nothing in the plan is written during execution, so one
-// plan serves N threads and M concurrent calls; determinism and
-// bit-exactness are inherited unchanged from the PR 3 hot loop this code
-// was lifted from.
+// worker slot), split over (pixel, output channel) so every layer -- a 1x1
+// output map included -- runs on the whole pool.  Nothing in the plan is
+// written during execution, so one plan serves N threads and M concurrent
+// calls; outputs and stats are identical for any pool size.
 #pragma once
 
 #include <algorithm>
@@ -173,45 +173,42 @@ struct ConvPlan {
 };
 
 /// The stateless conv executor over a const plan and prepared activation
-/// planes, restricted to the output shard [co_begin, co_end) x
-/// [y_begin, y_end) (x is never split -- rows are the spatial shard unit).
-/// Per pixel, one plane-copy gather stages the input patch (shared across
-/// the shard's output channels); per (pixel, co) the inner loop is
-/// contiguous streaming over the staged input and the clip class's packed
-/// filter stream -- zero gathers, zero allocations, zero re-decodes.
-/// `accumulate` runs one <= n_inputs chunk on the datapath; `readout`
-/// extracts the finished pixel.  All mutable state lives in the caller's
-/// scratch (`pool` + one private `Datapath` per worker slot + per-slot
-/// staging planes), so concurrent calls against the same plan never
-/// interfere.  Every output element's accumulate sequence depends only on
-/// its own (co, y, x) -- the datapath accumulator is reset per (pixel, co)
-/// -- so a shard computes exactly the bytes the full-range call would, and
-/// concatenating shards reproduces the unsharded output bit for bit.
-///
-/// The returned tensor holds only the shard: (co_end-co_begin) channels x
-/// (y_end-y_begin) rows x wo cols.
+/// planes.  The pool splits the output elements in pixel-major order
+/// (pixel x output channel): each slot gets one contiguous range -- whole
+/// pixels plus a partial pixel at either end -- so a map with fewer pixels
+/// than slots (a 1x1 layer4 output) still puts every slot to work, the
+/// host-side image of the accelerator broadcasting one window to IPUs
+/// holding different output channels.  Per pixel a slot stages the input
+/// patch once (one plane-copy gather shared by its channels of that pixel);
+/// per (pixel, co) the inner loop is contiguous streaming over the staged
+/// input and the clip class's packed filter stream -- zero gathers, zero
+/// allocations, zero re-decodes.  `accumulate` runs one <= n_inputs chunk
+/// on the datapath; `readout` extracts the finished element.  All mutable
+/// state lives in the caller's scratch (`pool` + one private `Datapath` per
+/// worker slot + per-slot staging planes), so concurrent calls against the
+/// same plan never interfere.  Every output element's accumulate sequence
+/// (reset, chunks, readout) depends only on its own (co, y, x), and the
+/// datapath counters are additive per op, so outputs and the summed
+/// per-slot stats are byte-identical for any pool size.
 template <typename Planes, typename AccumulateFn, typename ReadoutFn>
-Tensor run_conv_plan_shard(const ConvPlan<Planes>& plan,
-                           const Planes& in_planes, ThreadPool& pool,
-                           std::span<const std::unique_ptr<Datapath>> units,
-                           int n_inputs, int co_begin, int co_end, int y_begin,
-                           int y_end, AccumulateFn&& accumulate,
-                           ReadoutFn&& readout) {
+Tensor run_conv_plan(const ConvPlan<Planes>& plan, const Planes& in_planes,
+                     ThreadPool& pool,
+                     std::span<const std::unique_ptr<Datapath>> units,
+                     int n_inputs, AccumulateFn&& accumulate,
+                     ReadoutFn&& readout) {
   assert(static_cast<int>(units.size()) >= pool.size());
-  assert(0 <= co_begin && co_begin <= co_end && co_end <= plan.cout);
-  assert(0 <= y_begin && y_begin <= y_end && y_end <= plan.ho);
-  const int rows = y_end - y_begin;
   const int wo = plan.wo;
-  Tensor out(co_end - co_begin, rows, wo);
+  const int64_t cout = plan.cout;
+  Tensor out(plan.cout, plan.ho, wo);
 
   pool.parallel_for(
-      static_cast<int64_t>(rows) * wo,
+      static_cast<int64_t>(plan.ho) * wo * cout,
       [&](int64_t begin, int64_t end, int slot) {
         Datapath& dp = *units[static_cast<size_t>(slot)];
         Planes staged;  // per-slot staging planes, reused across pixels
         staged.match_layout(in_planes);
-        for (int64_t p = begin; p < end; ++p) {
-          const int y = y_begin + static_cast<int>(p / wo);
+        for (int64_t p = begin / cout; p * cout < end; ++p) {
+          const int y = static_cast<int>(p / wo);
           const int x = static_cast<int>(p % wo);
           const ClipClass<Planes>& cls =
               plan.classes[static_cast<size_t>(plan.class_of(y, x))];
@@ -221,6 +218,10 @@ Tensor run_conv_plan_shard(const ConvPlan<Planes>& plan,
               (x * plan.stride - plan.pad);
           staged.resize(static_cast<size_t>(len));
           staged.gather(in_planes, cls.rel_input, base);
+          const auto co_begin =
+              static_cast<int>(std::max<int64_t>(begin - p * cout, 0));
+          const auto co_end =
+              static_cast<int>(std::min<int64_t>(end - p * cout, cout));
           for (int co = co_begin; co < co_end; ++co) {
             const auto stream_base =
                 static_cast<size_t>(co) * static_cast<size_t>(len);
@@ -232,26 +233,11 @@ Tensor run_conv_plan_shard(const ConvPlan<Planes>& plan,
                          cls.filters.view(stream_base + static_cast<size_t>(c0),
                                           chunk));
             }
-            out.at(co - co_begin, y - y_begin, x) = readout(dp);
+            out.at(co, y, x) = readout(dp);
           }
         }
       });
   return out;
-}
-
-/// Full-range executor: the shard executor over the whole output.  The
-/// pixel index space and per-(pixel, co) operand streams are identical to
-/// the pre-shard loop, so this stays bit-identical to PR 3 by construction.
-template <typename Planes, typename AccumulateFn, typename ReadoutFn>
-Tensor run_conv_plan(const ConvPlan<Planes>& plan, const Planes& in_planes,
-                     ThreadPool& pool,
-                     std::span<const std::unique_ptr<Datapath>> units,
-                     int n_inputs, AccumulateFn&& accumulate,
-                     ReadoutFn&& readout) {
-  return run_conv_plan_shard(plan, in_planes, pool, units, n_inputs, 0,
-                             plan.cout, 0, plan.ho,
-                             std::forward<AccumulateFn>(accumulate),
-                             std::forward<ReadoutFn>(readout));
 }
 
 // ---------------------------------------------------------------------------
@@ -289,7 +275,8 @@ ConvPlan<PreparedInt> build_int_plan(int input_c, int input_h, int input_w,
                                      ThreadPool& pool);
 
 /// FP16 plan executor: every inner product on the scheme datapath, partial
-/// sums in the datapath accumulator, rounded to `accum` once per pixel.
+/// sums in the datapath accumulator, rounded to `accum` once per output
+/// element.
 Tensor execute_fp16_plan(const ConvPlan<PreparedFp16>& plan,
                          const PreparedFp16& in_planes, ThreadPool& pool,
                          std::span<const std::unique_ptr<Datapath>> units,
@@ -302,23 +289,5 @@ Tensor execute_int_plan(const ConvPlan<PreparedInt>& plan,
                         std::span<const std::unique_ptr<Datapath>> units,
                         int n_inputs, int a_bits, int w_bits,
                         const QuantParams& qa, const QuantParams& qw);
-
-/// Shard executors: the same loops restricted to [co_begin, co_end) x
-/// [y_begin, y_end).  Used by CompiledModel's host-sharded mode
-/// (RunSpec.partition.shard_host); concatenating the shard outputs is
-/// byte-identical to the full executor above (see run_conv_plan_shard).
-Tensor execute_fp16_plan_shard(const ConvPlan<PreparedFp16>& plan,
-                               const PreparedFp16& in_planes, ThreadPool& pool,
-                               std::span<const std::unique_ptr<Datapath>> units,
-                               int n_inputs, AccumKind accum, int co_begin,
-                               int co_end, int y_begin, int y_end);
-
-Tensor execute_int_plan_shard(const ConvPlan<PreparedInt>& plan,
-                              const PreparedInt& in_planes, ThreadPool& pool,
-                              std::span<const std::unique_ptr<Datapath>> units,
-                              int n_inputs, int a_bits, int w_bits,
-                              const QuantParams& qa, const QuantParams& qw,
-                              int co_begin, int co_end, int y_begin,
-                              int y_end);
 
 }  // namespace mpipu

@@ -61,40 +61,4 @@ Tensor channel_concat(const std::vector<const Tensor*>& parts) {
   return out;
 }
 
-Tensor row_concat(const std::vector<const Tensor*>& parts) {
-  if (parts.size() < 2) {
-    throw std::invalid_argument("row_concat: needs at least two operands");
-  }
-  const Tensor& first = *parts.front();
-  int h_total = 0;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    const Tensor& p = *parts[i];
-    if (p.c != first.c || p.w != first.w) {
-      throw std::invalid_argument(
-          "row_concat: operand " + std::to_string(i) + " is " + shape_str(p) +
-          " but operand 0 has " + std::to_string(first.c) + " channels x width " +
-          std::to_string(first.w));
-    }
-    h_total += p.h;
-  }
-  Tensor out(first.c, h_total, first.w);
-  // CHW layout: each channel's plane is the parts' row blocks in order, so
-  // copy one (part, channel) row block at a time.
-  for (int c = 0; c < first.c; ++c) {
-    int y_at = 0;
-    for (const Tensor* p : parts) {
-      const size_t rows = static_cast<size_t>(p->h) * static_cast<size_t>(p->w);
-      const auto src = p->data.begin() +
-                       static_cast<ptrdiff_t>(static_cast<size_t>(c) * rows);
-      std::copy(src, src + static_cast<ptrdiff_t>(rows),
-                out.data.begin() +
-                    static_cast<ptrdiff_t>(
-                        (static_cast<size_t>(c) * h_total + y_at) *
-                        static_cast<size_t>(first.w)));
-      y_at += p->h;
-    }
-  }
-  return out;
-}
-
 }  // namespace mpipu

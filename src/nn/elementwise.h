@@ -31,12 +31,4 @@ Tensor tensor_add(const Tensor& a, const Tensor& b);
 /// std::invalid_argument on a spatial mismatch or fewer than two operands.
 Tensor channel_concat(const std::vector<const Tensor*>& parts);
 
-/// Row concatenation of two or more tensors sharing (c, w): the join for
-/// spatial-row shards (sim/partition.h kSpatialRows).  Rows stack along h
-/// in `parts` order; because tensors are CHW, each output channel plane
-/// interleaves one row block per part (not a flat copy).  Throws
-/// std::invalid_argument on a channel/width mismatch or fewer than two
-/// operands.
-Tensor row_concat(const std::vector<const Tensor*>& parts);
-
 }  // namespace mpipu

@@ -1,16 +1,12 @@
-// Multi-tile partitioning (ROADMAP item 1): shard one conv layer across the
-// N tiles of a TileConfig, for BOTH evaluation paths:
-//
-//   * the cycle sim (sim/cycle_sim.h) partitions every layer, simulates each
-//     tile's broadcast stream and reports per-tile utilization, load
-//     imbalance and the critical-tile cycles -- replacing the single
-//     ceil_div(cout, num_tiles) that used to hide the whole multi-tile
-//     story inside layer_broadcast_steps;
-//   * host execution (api/compiled_model.h) mirrors the same shard
-//     geometry: each shard runs as an independent unit of work on the
-//     thread pool and the shard outputs are joined exactly
-//     (nn/elementwise.h channel_concat / row_concat), byte-identical to
-//     unsharded execution.
+// Multi-tile partitioning: shard one conv layer across the N tiles of a
+// TileConfig for the cycle sim (sim/cycle_sim.h), which partitions every
+// layer, simulates each tile's broadcast stream and reports per-tile
+// utilization, load imbalance and the critical-tile cycles -- replacing
+// the single ceil_div(cout, num_tiles) that used to hide the whole
+// multi-tile story inside layer_broadcast_steps.  Host execution does not
+// mirror the tile shards: the conv executor (nn/conv_plan.h) splits every
+// layer over (pixel, output channel) on the whole thread pool, which is
+// byte-identical to any shard-and-join.
 //
 // Two partition schemes, the two natural axes of a weight-stationary tile:
 //
@@ -42,19 +38,12 @@ enum class PartitionKind { kOutputChannel, kSpatialRows };
 
 const char* partition_kind_name(PartitionKind kind);
 
-/// The partition choice carried by RunSpec: one knob drives the multi-tile
-/// cycle sim AND (opt-in) host-side sharded execution.
+/// The partition choice carried by RunSpec for the multi-tile cycle sim.
 struct PartitionSpec {
   /// Axis the layer shards along.  kOutputChannel is the default and
   /// reproduces the legacy single-tile-view arithmetic exactly for evenly
   /// divisible couts.
   PartitionKind kind = PartitionKind::kOutputChannel;
-  /// When true, CompiledModel::run executes every conv node as
-  /// tile.num_tiles host shards joined exactly (byte-identical to
-  /// unsharded execution -- see tests/test_partition.cpp).  Off by
-  /// default: host sharding mirrors the hardware partition, it is not a
-  /// host-side speedup on its own.
-  bool shard_host = false;
 
   friend bool operator==(const PartitionSpec&, const PartitionSpec&) = default;
 };

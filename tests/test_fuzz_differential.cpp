@@ -166,7 +166,8 @@ TEST(FuzzDifferential, TemporalAndSpatialAgreeUnderRandomConfigs) {
 }
 
 // ---------------------------------------------------------------------------
-// Random DAG topologies: the graph execution core (parallel-branch waves,
+// Random DAG topologies: the graph execution core (nodes in topological
+// order, each on the whole pool split over (pixel, output channel);
 // prepared/packed plans) vs the Session facade vs a node-by-node chain of
 // per-op oracle convs must agree bit for bit, for every scheme and
 // precision mode that scheme supports.

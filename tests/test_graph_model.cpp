@@ -6,7 +6,7 @@
 //    of the same topology on the independent per-op oracle
 //    (tests/conv_oracle.h), for all three decomposition schemes and
 //    FP16/INT modes;
-//  * parallel-branch dispatch is deterministic: 1 and N pool threads
+//  * graph execution is deterministic: 1 and N pool threads
 //    produce identical outputs, per-node stats and serialized reports;
 //  * estimate(graph) reproduces simulate_network on the equivalent shape
 //    table, and resnet18_graph()'s table at 224x224 carries exactly the

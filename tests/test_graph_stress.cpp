@@ -2,12 +2,15 @@
 // hammering ONE graph CompiledModel (branchy topology: residual add +
 // concat fan-in, mixed FP16/INT policy) must be byte-identical to the same
 // requests run serially, across repeat runs, for every scheme -- pinning
-// the PR 4 reentrancy contract (shared const plans, per-call scratch) on
-// the new parallel-branch dispatch, which is exactly where a shared-scratch
-// bug would first appear.  Also pins 1-vs-N *pool* threads (intra-call
-// parallelism) against the same serial ground truth.
+// the reentrancy contract (shared const plans, per-call scratch) on a
+// graph with several independent branches, which is exactly where a
+// shared-scratch bug would first appear.  Also pins 1-vs-N *pool* threads
+// (intra-call parallelism: every node on the whole pool, split over
+// (pixel, output channel)) against the same serial ground truth, including
+// maps smaller than the pool.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -120,29 +123,37 @@ TEST(GraphStress, HostThreadsHammeringOneCompiledModelMatchSerial) {
 
 TEST(GraphStress, PoolThreadCountNeverChangesResults) {
   // Intra-call parallelism: the same graph compiled at 1, 2 and 5 pool
-  // threads -- single-node waves split pixels, multi-node waves split
-  // branches; tensors, per-node stats and reports must be identical.
+  // threads -- every node, branches included, runs on the whole pool split
+  // over (pixel, output channel); tensors, per-node stats and reports must
+  // be identical.  The 2x2 and 1x1 inputs make every map (4 or 1 pixels)
+  // smaller than 5 slots, so pixels are split across channels in every
+  // node; at 1x1 a slot's range can lie inside one pixel.
   const GraphModel graph = stress_graph();
   Rng rng(0x57E57);
-  const Tensor input = random_tensor(rng, 3, 8, 8, ValueDist::kHalfNormal, 1.0);
-
-  for (DecompositionScheme scheme :
-       {DecompositionScheme::kTemporal, DecompositionScheme::kSerial,
-        DecompositionScheme::kSpatial}) {
-    RunSpec spec;
-    spec.datapath = small_datapath(scheme);
-    spec.threads = 1;
-    const RunReport r1 = Session(spec).compile(graph, {8, 8}).run(input);
-    for (int threads : {2, 5}) {
-      spec.threads = threads;
-      const RunReport rn = Session(spec).compile(graph, {8, 8}).run(input);
-      ASSERT_EQ(rn.output.data, r1.output.data)
-          << scheme_name(scheme) << " " << threads << " threads";
-      EXPECT_EQ(rn.totals, r1.totals) << scheme_name(scheme);
-      ASSERT_EQ(rn.layers.size(), r1.layers.size());
-      for (size_t l = 0; l < r1.layers.size(); ++l) {
-        EXPECT_EQ(rn.layers[l].stats, r1.layers[l].stats)
-            << scheme_name(scheme) << " node " << r1.layers[l].layer;
+  for (const int hw : {8, 2, 1}) {
+    const Tensor input =
+        random_tensor(rng, 3, hw, hw, ValueDist::kHalfNormal, 1.0);
+    for (DecompositionScheme scheme :
+         {DecompositionScheme::kTemporal, DecompositionScheme::kSerial,
+          DecompositionScheme::kSpatial}) {
+      RunSpec spec;
+      spec.datapath = small_datapath(scheme);
+      spec.threads = 1;
+      const RunReport r1 = Session(spec).compile(graph, {hw, hw}).run(input);
+      for (int threads : {2, 5}) {
+        spec.threads = threads;
+        const RunReport rn =
+            Session(spec).compile(graph, {hw, hw}).run(input);
+        SCOPED_TRACE(std::string(scheme_name(scheme)) + " " +
+                     std::to_string(hw) + "x" + std::to_string(hw) + " " +
+                     std::to_string(threads) + " threads");
+        ASSERT_EQ(rn.output.data, r1.output.data);
+        EXPECT_EQ(rn.totals, r1.totals);
+        ASSERT_EQ(rn.layers.size(), r1.layers.size());
+        for (size_t l = 0; l < r1.layers.size(); ++l) {
+          EXPECT_EQ(rn.layers[l].stats, r1.layers[l].stats)
+              << "node " << r1.layers[l].layer;
+        }
       }
     }
   }
@@ -150,7 +161,7 @@ TEST(GraphStress, PoolThreadCountNeverChangesResults) {
 
 TEST(GraphStress, ConcurrentCallersOnSharedSessionCompiledGraphViaRunBatch) {
   // The Session facade path under load: run_batch on a multi-threaded pool
-  // with branch dispatch inside, repeated -- results must be stable across
+  // shared by every node, repeated -- results must be stable across
   // repeats (the compile cache serves one immutable plan throughout).
   const GraphModel graph = stress_graph();
   Rng rng(0x57E58);

@@ -1,5 +1,5 @@
-// Tests for multi-tile partitioning (sim/partition.h) and its two
-// consumers:
+// Tests for multi-tile partitioning (sim/partition.h) and the cycle sim
+// that consumes it:
 //
 //  * partitioner invariants: shards are balanced-contiguous, disjoint, and
 //    their union is the full layer (channels/rows AND MACs); the critical
@@ -9,11 +9,7 @@
 //    tiles when the extent is smaller than the tile count;
 //  * Release-mode tile validation: an ipus_per_cluster that does not
 //    divide ipus_per_tile is rejected with std::invalid_argument in EVERY
-//    build mode (the num_clusters() assert vanishes under NDEBUG);
-//  * host-sharded execution (RunSpec.partition.shard_host): byte-identical
-//    outputs, per-layer stats and totals vs unsharded execution across
-//    decomposition schemes x FP16/INT8 x thread counts x partition kinds;
-//  * row_concat round-trips row shards exactly.
+//    build mode (the num_clusters() assert vanishes under NDEBUG).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -21,7 +17,6 @@
 
 #include "api/session.h"
 #include "common/rng.h"
-#include "nn/elementwise.h"
 #include "sim/cycle_sim.h"
 #include "sim/partition.h"
 
@@ -344,149 +339,6 @@ TEST(TileValidation, SurfacedThroughSessionEstimate) {
   layers[0].filters = random_filters(rng, 8, 3, 3, 3, ValueDist::kNormal, 0.3);
   const Model model = Model::from_layers("m", std::move(layers));
   EXPECT_THROW(session.estimate(model, 8, 8), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// row_concat
-// ---------------------------------------------------------------------------
-
-TEST(RowConcat, RoundTripsRowShards) {
-  Rng rng(11);
-  const Tensor full = random_tensor(rng, 3, 7, 5, ValueDist::kNormal, 1.0);
-  // Slice rows [0,3) and [3,7) per channel, then re-join.
-  Tensor top(3, 3, 5), bottom(3, 4, 5);
-  for (int c = 0; c < 3; ++c) {
-    for (int y = 0; y < 7; ++y) {
-      for (int x = 0; x < 5; ++x) {
-        if (y < 3) top.at(c, y, x) = full.at(c, y, x);
-        else bottom.at(c, y - 3, x) = full.at(c, y, x);
-      }
-    }
-  }
-  const Tensor joined = row_concat({&top, &bottom});
-  ASSERT_EQ(joined.data.size(), full.data.size());
-  for (size_t i = 0; i < full.data.size(); ++i) {
-    EXPECT_EQ(joined.data[i], full.data[i]) << i;
-  }
-}
-
-TEST(RowConcat, RejectsMismatchedShapes) {
-  const Tensor a(2, 3, 4), b(3, 3, 4), c(2, 3, 5);
-  EXPECT_THROW(row_concat({&a, &b}), std::invalid_argument);  // channels
-  EXPECT_THROW(row_concat({&a, &c}), std::invalid_argument);  // width
-  EXPECT_THROW(row_concat({&a}), std::invalid_argument);      // arity
-}
-
-// ---------------------------------------------------------------------------
-// Host-sharded execution byte-identity
-// ---------------------------------------------------------------------------
-
-DatapathConfig small_datapath(DecompositionScheme scheme) {
-  DatapathConfig cfg = DatapathConfig::for_scheme(scheme);
-  cfg.n_inputs = 16;
-  cfg.adder_tree_width = 16;
-  cfg.software_precision = 28;
-  cfg.multi_cycle = true;
-  return cfg;
-}
-
-/// Tiny 3-layer CNN with real weights; couts 6/8/4 exercise both evenly
-/// divisible and ragged shard splits over 4 tiles.
-Model tiny_model(Rng& rng) {
-  std::vector<ModelLayer> layers(3);
-  layers[0].name = "conv1";
-  layers[0].filters = random_filters(rng, 6, 3, 3, 3, ValueDist::kNormal, 0.3);
-  layers[0].spec.pad = 1;
-  layers[0].relu = true;
-  layers[1].name = "conv2";
-  layers[1].filters = random_filters(rng, 8, 6, 3, 3, ValueDist::kNormal, 0.15);
-  layers[1].spec.pad = 1;
-  layers[1].relu = true;
-  layers[1].pool = PoolOp::kMax2;
-  layers[2].name = "head";
-  layers[2].filters = random_filters(rng, 4, 8, 1, 1, ValueDist::kNormal, 0.2);
-  return Model::from_layers("tiny3", std::move(layers));
-}
-
-void expect_reports_identical(const RunReport& a, const RunReport& b) {
-  ASSERT_EQ(a.output.data.size(), b.output.data.size());
-  for (size_t i = 0; i < a.output.data.size(); ++i) {
-    ASSERT_EQ(a.output.data[i], b.output.data[i]) << "output elt " << i;
-  }
-  EXPECT_EQ(a.totals, b.totals);
-  ASSERT_EQ(a.layers.size(), b.layers.size());
-  for (size_t l = 0; l < a.layers.size(); ++l) {
-    EXPECT_EQ(a.layers[l].stats, b.layers[l].stats) << "layer " << l;
-  }
-  // The serialized documents must agree byte for byte (covers error
-  // metrics and field ordering -- everything the report carries).
-  EXPECT_EQ(a.to_json(), b.to_json());
-}
-
-TEST(HostSharding, ByteIdenticalAcrossSchemesPrecisionsThreadsAndKinds) {
-  Rng rng(42);
-  const Model model = tiny_model(rng);
-  const Tensor input =
-      random_tensor(rng, 3, 12, 12, ValueDist::kHalfNormal, 1.0);
-
-  struct Case {
-    DecompositionScheme scheme;
-    bool with_int;
-  };
-  for (const Case& c : {Case{DecompositionScheme::kTemporal, true},
-                        Case{DecompositionScheme::kSerial, true},
-                        Case{DecompositionScheme::kSpatial, false}}) {
-    for (const PartitionKind kind :
-         {PartitionKind::kOutputChannel, PartitionKind::kSpatialRows}) {
-      for (const int threads : {1, 3}) {
-        RunSpec spec;
-        spec.datapath = small_datapath(c.scheme);
-        spec.tile = big_tile(16, 28);  // num_tiles = 4
-        spec.policy = PrecisionPolicy::all_fp16(AccumKind::kFp32);
-        if (c.with_int) {
-          spec.policy.set_layer("conv2", LayerPrecision::int_bits(8, 8));
-        }
-        spec.threads = threads;
-        spec.sim.sampled_steps = 50;
-        spec.partition.kind = kind;
-
-        spec.partition.shard_host = false;
-        Session plain(spec);
-        const RunReport base = plain.run(model, input);
-
-        spec.partition.shard_host = true;
-        Session sharded(spec);
-        const RunReport shard = sharded.run(model, input);
-
-        SCOPED_TRACE(std::string(scheme_name(c.scheme)) + " / " +
-                     partition_kind_name(kind) + " / threads=" +
-                     std::to_string(threads));
-        expect_reports_identical(base, shard);
-      }
-    }
-  }
-}
-
-TEST(HostSharding, SingleTileIsUnsharded) {
-  // num_tiles = 1: shard_host must be a no-op (single shard falls through
-  // to the plain executor).
-  Rng rng(43);
-  const Model model = tiny_model(rng);
-  const Tensor input =
-      random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
-  RunSpec spec;
-  spec.datapath = small_datapath(DecompositionScheme::kTemporal);
-  spec.tile = big_tile(16, 28);
-  spec.tile.num_tiles = 1;
-  spec.tile.ipus_per_cluster = 64;
-  spec.threads = 1;
-  spec.sim.sampled_steps = 50;
-
-  Session plain(spec);
-  const RunReport base = plain.run(model, input);
-  spec.partition.shard_host = true;
-  Session sharded(spec);
-  expect_reports_identical(base, sharded.run(model, input));
 }
 
 }  // namespace

@@ -5,9 +5,10 @@
 //   * all three decomposition schemes x {FP16, FP32} accumulation regimes
 //     (software precision 16 / 28 with the matching readout),
 //   * INT mode (temporal digit planes, serial raw-value streaming),
-//   * full convolutions (a one-layer Model through Session::run, at 1 and 3
-//     threads) including border-pixel clip classes (pad/stride
-//     combinations) and the skip_zero_iterations sparse ablation,
+//   * full convolutions (a one-layer Model through Session::run, at 1, 3
+//     and 5 threads) including border-pixel clip classes (pad/stride
+//     combinations), output maps with fewer pixels than pool slots, and
+//     the skip_zero_iterations sparse ablation,
 //   * the allocation-free EHU overloads (Decoded spans, exponent planes,
 //     and scratch reuse across calls) against the allocating one.
 #include <gtest/gtest.h>
@@ -387,14 +388,20 @@ Tensor per_op_conv_fp16(const PerOpRef& ref,
 
 TEST(PreparedConv, BorderClipClassesAndStridesMatchPerOpAllSchemes) {
   Rng rng(26);
-  const Tensor input = random_tensor(rng, 5, 7, 9, ValueDist::kNormal, 1.0);
   const FilterBank filters =
       random_filters(rng, 4, 5, 3, 3, ValueDist::kNormal, 0.3);
+  // 7x9 inputs give maps with more pixels than pool slots; the 1x1, 1x2 and
+  // 2x2 output maps have fewer, so 3 and 5 slots split pixels across output
+  // channels (cout 4 < 5 slots leaves a slot idle on the 1x1 map).
   struct Geometry {
-    int stride, pad;
+    int h, w, stride, pad;
   };
-  for (const Geometry g : {Geometry{1, 0}, Geometry{1, 1}, Geometry{1, 2},
-                           Geometry{2, 1}}) {
+  for (const Geometry g : {Geometry{7, 9, 1, 0}, Geometry{7, 9, 1, 1},
+                           Geometry{7, 9, 1, 2}, Geometry{7, 9, 2, 1},
+                           Geometry{1, 1, 1, 1}, Geometry{1, 2, 1, 1},
+                           Geometry{4, 4, 2, 1}}) {
+    const Tensor input =
+        random_tensor(rng, 5, g.h, g.w, ValueDist::kNormal, 1.0);
     ConvSpec spec;
     spec.stride = g.stride;
     spec.pad = g.pad;
@@ -415,7 +422,7 @@ TEST(PreparedConv, BorderClipClassesAndStridesMatchPerOpAllSchemes) {
         const Tensor expect = per_op_conv_fp16(ref, read_out, cfg.n_inputs,
                                                input, filters, spec, &ref_cycles);
 
-        for (int threads : {1, 3}) {
+        for (int threads : {1, 3, 5}) {
           const RunReport run =
               run_single_conv(input, filters, spec, cfg,
                               LayerPrecision::fp16(accum), threads);
@@ -423,12 +430,14 @@ TEST(PreparedConv, BorderClipClassesAndStridesMatchPerOpAllSchemes) {
           ASSERT_EQ(got.data.size(), expect.data.size());
           for (size_t i = 0; i < got.data.size(); ++i) {
             EXPECT_EQ(got.data[i], expect.data[i])
-                << scheme_name(scheme) << " stride=" << g.stride
-                << " pad=" << g.pad << " threads=" << threads << " elt " << i;
+                << scheme_name(scheme) << " " << g.h << "x" << g.w
+                << " stride=" << g.stride << " pad=" << g.pad
+                << " threads=" << threads << " elt " << i;
           }
           EXPECT_EQ(run.totals.cycles, ref_cycles)
-              << scheme_name(scheme) << " stride=" << g.stride
-              << " pad=" << g.pad << " threads=" << threads;
+              << scheme_name(scheme) << " " << g.h << "x" << g.w
+              << " stride=" << g.stride << " pad=" << g.pad
+              << " threads=" << threads;
         }
       }
     }
@@ -474,94 +483,109 @@ TEST(PreparedConv, SparseAblationConvMatchesPerOp) {
 
 TEST(PreparedConv, IntConvMatchesPerOpQuantizedLoop) {
   Rng rng(28);
-  const Tensor input = random_tensor(rng, 4, 6, 7, ValueDist::kHalfNormal, 1.0);
   const FilterBank filters =
       random_filters(rng, 3, 4, 3, 3, ValueDist::kNormal, 0.2);
-  ConvSpec spec;
-  spec.pad = 1;
-  for (auto scheme :
-       {DecompositionScheme::kTemporal, DecompositionScheme::kSerial}) {
-    const DatapathConfig cfg = base_config(scheme, 16, 28);
+  // A 6x7 map plus 1x1, 1x2 and 2x2 maps with fewer pixels than 3 or 5
+  // pool slots, which the executor splits across output channels.
+  struct Geometry {
+    int h, w, stride;
+  };
+  for (const Geometry g : {Geometry{6, 7, 1}, Geometry{1, 1, 1},
+                           Geometry{1, 2, 1}, Geometry{4, 4, 2}}) {
+    for (auto scheme :
+         {DecompositionScheme::kTemporal, DecompositionScheme::kSerial}) {
+      const Tensor input =
+          random_tensor(rng, 4, g.h, g.w, ValueDist::kHalfNormal, 1.0);
+      ConvSpec spec;
+      spec.stride = g.stride;
+      spec.pad = 1;
+      const DatapathConfig cfg = base_config(scheme, 16, 28);
 
-    // Per-op reference: quantize once, gather per pixel, INT-accumulate per
-    // op through the direct units.
-    const QuantParams qa = fit_symmetric(input.data, 8);
-    const QuantParams qw = fit_symmetric(filters.data, 8);
-    const std::vector<int32_t> in_q = quantize(input.data, qa);
-    const std::vector<int32_t> flt_q = quantize(filters.data, qw);
-    Ipu ipu(TemporalOnly(cfg));
-    SerialIpu serial(SerialOnly(cfg));
-    const int ho = spec.out_dim(input.h, filters.kh);
-    const int wo = spec.out_dim(input.w, filters.kw);
-    Tensor expect(filters.cout, ho, wo);
-    std::vector<int32_t> pa, pb;
-    for (int y = 0; y < ho; ++y) {
-      for (int x = 0; x < wo; ++x) {
-        pa.clear();
-        std::vector<int32_t> filter_off;
-        for (int ky = 0; ky < filters.kh; ++ky) {
-          for (int kx = 0; kx < filters.kw; ++kx) {
-            const int iy = y * spec.stride + ky - spec.pad;
-            const int ix = x * spec.stride + kx - spec.pad;
-            if (iy < 0 || iy >= input.h || ix < 0 || ix >= input.w) continue;
-            for (int c = 0; c < input.c; ++c) {
-              pa.push_back(in_q[(static_cast<size_t>(c) * input.h + iy) *
-                                    static_cast<size_t>(input.w) +
-                                ix]);
-              filter_off.push_back(static_cast<int32_t>(
-                  (static_cast<size_t>(c) * filters.kh + ky) *
-                      static_cast<size_t>(filters.kw) +
-                  kx));
+      // Per-op reference: quantize once, gather per pixel, INT-accumulate per
+      // op through the direct units.
+      const QuantParams qa = fit_symmetric(input.data, 8);
+      const QuantParams qw = fit_symmetric(filters.data, 8);
+      const std::vector<int32_t> in_q = quantize(input.data, qa);
+      const std::vector<int32_t> flt_q = quantize(filters.data, qw);
+      Ipu ipu(TemporalOnly(cfg));
+      SerialIpu serial(SerialOnly(cfg));
+      const int ho = spec.out_dim(input.h, filters.kh);
+      const int wo = spec.out_dim(input.w, filters.kw);
+      Tensor expect(filters.cout, ho, wo);
+      std::vector<int32_t> pa, pb;
+      for (int y = 0; y < ho; ++y) {
+        for (int x = 0; x < wo; ++x) {
+          pa.clear();
+          std::vector<int32_t> filter_off;
+          for (int ky = 0; ky < filters.kh; ++ky) {
+            for (int kx = 0; kx < filters.kw; ++kx) {
+              const int iy = y * spec.stride + ky - spec.pad;
+              const int ix = x * spec.stride + kx - spec.pad;
+              if (iy < 0 || iy >= input.h || ix < 0 || ix >= input.w) continue;
+              for (int c = 0; c < input.c; ++c) {
+                pa.push_back(in_q[(static_cast<size_t>(c) * input.h + iy) *
+                                      static_cast<size_t>(input.w) +
+                                  ix]);
+                filter_off.push_back(static_cast<int32_t>(
+                    (static_cast<size_t>(c) * filters.kh + ky) *
+                        static_cast<size_t>(filters.kw) +
+                    kx));
+              }
             }
           }
-        }
-        const int len = static_cast<int>(pa.size());
-        const size_t block =
-            static_cast<size_t>(filters.cin) * filters.kh * filters.kw;
-        for (int co = 0; co < filters.cout; ++co) {
-          pb.resize(static_cast<size_t>(len));
-          for (int t = 0; t < len; ++t) {
-            pb[static_cast<size_t>(t)] =
-                flt_q[static_cast<size_t>(co) * block +
-                      static_cast<size_t>(filter_off[static_cast<size_t>(t)])];
-          }
-          int64_t acc = 0;
-          for (int c0 = 0; c0 < len; c0 += cfg.n_inputs) {
-            const auto chunk =
-                static_cast<size_t>(std::min(cfg.n_inputs, len - c0));
-            const auto sa =
-                std::span<const int32_t>(pa).subspan(static_cast<size_t>(c0), chunk);
-            const auto sb =
-                std::span<const int32_t>(pb).subspan(static_cast<size_t>(c0), chunk);
-            if (scheme == DecompositionScheme::kTemporal) {
-              ipu.reset_accumulator();
-              ipu.int_accumulate(sa, sb, 8, 8);
-              acc += ipu.read_int();
-            } else {
-              serial.reset_accumulator();
-              serial.int_accumulate(sa, sb, 8, 8);
-              acc += serial.read_int();
+          const int len = static_cast<int>(pa.size());
+          const size_t block =
+              static_cast<size_t>(filters.cin) * filters.kh * filters.kw;
+          for (int co = 0; co < filters.cout; ++co) {
+            pb.resize(static_cast<size_t>(len));
+            for (int t = 0; t < len; ++t) {
+              const auto off =
+                  static_cast<size_t>(filter_off[static_cast<size_t>(t)]);
+              pb[static_cast<size_t>(t)] =
+                  flt_q[static_cast<size_t>(co) * block + off];
             }
+            int64_t acc = 0;
+            for (int c0 = 0; c0 < len; c0 += cfg.n_inputs) {
+              const auto chunk =
+                  static_cast<size_t>(std::min(cfg.n_inputs, len - c0));
+              const auto sa = std::span<const int32_t>(pa).subspan(
+                  static_cast<size_t>(c0), chunk);
+              const auto sb = std::span<const int32_t>(pb).subspan(
+                  static_cast<size_t>(c0), chunk);
+              if (scheme == DecompositionScheme::kTemporal) {
+                ipu.reset_accumulator();
+                ipu.int_accumulate(sa, sb, 8, 8);
+                acc += ipu.read_int();
+              } else {
+                serial.reset_accumulator();
+                serial.int_accumulate(sa, sb, 8, 8);
+                acc += serial.read_int();
+              }
+            }
+            expect.at(co, y, x) = dequantize_accumulator(acc, qa, qw);
           }
-          expect.at(co, y, x) = dequantize_accumulator(acc, qa, qw);
         }
       }
-    }
 
-    const bool temporal = scheme == DecompositionScheme::kTemporal;
-    const int64_t ref_ops =
-        temporal ? ipu.stats().int_ops : serial.stats().int_ops;
-    const int64_t ref_cycles =
-        temporal ? ipu.stats().cycles : serial.stats().cycles;
-    for (int threads : {1, 3}) {
-      const RunReport run = run_single_conv(
-          input, filters, spec, cfg, LayerPrecision::int_bits(8, 8), threads);
-      for (size_t i = 0; i < run.output.data.size(); ++i) {
-        EXPECT_EQ(run.output.data[i], expect.data[i])
-            << scheme_name(scheme) << " threads=" << threads << " " << i;
+      const bool temporal = scheme == DecompositionScheme::kTemporal;
+      const int64_t ref_ops =
+          temporal ? ipu.stats().int_ops : serial.stats().int_ops;
+      const int64_t ref_cycles =
+          temporal ? ipu.stats().cycles : serial.stats().cycles;
+      for (int threads : {1, 3, 5}) {
+        const RunReport run = run_single_conv(
+            input, filters, spec, cfg, LayerPrecision::int_bits(8, 8), threads);
+        ASSERT_EQ(run.output.data.size(), expect.data.size());
+        for (size_t i = 0; i < run.output.data.size(); ++i) {
+          EXPECT_EQ(run.output.data[i], expect.data[i])
+              << scheme_name(scheme) << " " << g.h << "x" << g.w
+              << " threads=" << threads << " " << i;
+        }
+        EXPECT_EQ(run.totals.int_ops, ref_ops)
+            << scheme_name(scheme) << " " << g.h << "x" << g.w;
+        EXPECT_EQ(run.totals.cycles, ref_cycles)
+            << scheme_name(scheme) << " " << g.h << "x" << g.w;
       }
-      EXPECT_EQ(run.totals.int_ops, ref_ops) << scheme_name(scheme);
-      EXPECT_EQ(run.totals.cycles, ref_cycles) << scheme_name(scheme);
     }
   }
 }
