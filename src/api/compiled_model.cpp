@@ -252,7 +252,7 @@ void CompiledModel::validate_input(const Tensor& input) const {
 }
 
 std::shared_ptr<const std::vector<Tensor>> CompiledModel::reference_chain(
-    const Tensor& input) const {
+    const Tensor& input, ThreadPool& pool) const {
   {
     MutexLock lock(ref_cache_->mu);
     for (const auto& e : ref_cache_->entries) {
@@ -262,7 +262,7 @@ std::shared_ptr<const std::vector<Tensor>> CompiledModel::reference_chain(
   // Compute outside the lock: concurrent callers with distinct inputs must
   // not serialize on the (expensive) reference convolutions.
   auto refs = std::make_shared<std::vector<Tensor>>(
-      graph_reference_outputs(nodes_, topo_, input));
+      graph_reference_outputs(nodes_, topo_, input, pool));
   MutexLock lock(ref_cache_->mu);
   for (const auto& e : ref_cache_->entries) {
     // A racing caller beat us to it; both chains are deterministic and
@@ -340,7 +340,7 @@ RunReport CompiledModel::run_with_units(
   report.threads = pool.size();
 
   std::shared_ptr<const std::vector<Tensor>> refs;
-  if (opts.compare_reference) refs = reference_chain(input);
+  if (opts.compare_reference) refs = reference_chain(input, pool);
 
   std::vector<Tensor> acts(nodes_.size());
   acts[static_cast<size_t>(topo_.input_node)] = input;

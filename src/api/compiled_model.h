@@ -177,8 +177,10 @@ class CompiledModel {
       const Tensor& input, const RunOptions& opts, ThreadPool& pool,
       std::span<const std::unique_ptr<Datapath>> units) const;
   void validate_input(const Tensor& input) const;
+  /// The per-node FP32 reference outputs for `input`, from the cache or
+  /// computed on `pool` (the run's own pool, so never used twice at once).
   std::shared_ptr<const std::vector<Tensor>> reference_chain(
-      const Tensor& input) const;
+      const Tensor& input, ThreadPool& pool) const;
   /// Execute one non-input node on the whole pool: reads predecessor
   /// activations, writes acts[id] (post-ops applied) and returns the node's
   /// datapath stats (the before/after delta over `units`; zero for joins).

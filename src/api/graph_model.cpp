@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/fnv1a.h"
+#include "common/thread_pool.h"
 #include "nn/elementwise.h"
 
 namespace mpipu {
@@ -93,6 +94,13 @@ GraphTopology analyze_graph(const std::vector<GraphNode>& nodes, int input_h,
         if (nd.inputs.size() != 1) {
           throw std::invalid_argument("analyze_graph: " + node_label(nd) +
                                       " must have exactly one predecessor");
+        }
+        if (!nd.spec.valid()) {
+          throw std::invalid_argument(
+              "analyze_graph: " + node_label(nd) +
+              " needs stride >= 1 and pad >= 0 (got stride " +
+              std::to_string(nd.spec.stride) + ", pad " +
+              std::to_string(nd.spec.pad) + ")");
         }
         break;
       case GraphNode::Op::kAdd:
@@ -457,6 +465,14 @@ Network GraphModel::shape_table(int input_h, int input_w) const {
 std::vector<Tensor> graph_reference_outputs(const std::vector<GraphNode>& nodes,
                                             const GraphTopology& topo,
                                             const Tensor& input) {
+  ThreadPool inline_pool(1);
+  return graph_reference_outputs(nodes, topo, input, inline_pool);
+}
+
+std::vector<Tensor> graph_reference_outputs(const std::vector<GraphNode>& nodes,
+                                            const GraphTopology& topo,
+                                            const Tensor& input,
+                                            ThreadPool& pool) {
   std::vector<Tensor> refs(nodes.size());
   const auto activation = [&](int id) -> const Tensor& {
     return id == topo.input_node ? input : refs[static_cast<size_t>(id)];
@@ -468,7 +484,8 @@ std::vector<Tensor> graph_reference_outputs(const std::vector<GraphNode>& nodes,
     switch (nd.op) {
       case GraphNode::Op::kInput: break;
       case GraphNode::Op::kConv:
-        y = conv_reference(activation(nd.inputs[0]), nd.filters, nd.spec);
+        y = conv_reference(activation(nd.inputs[0]), nd.filters, nd.spec,
+                           pool);
         break;
       case GraphNode::Op::kAdd:
       case GraphNode::Op::kConcat: {

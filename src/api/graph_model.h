@@ -21,11 +21,12 @@
 //
 // Topology is validated at compile time (Session::compile /
 // CompiledModel::compile): acyclicity, exactly one input and one output,
-// channel agreement into convs, shape agreement at joins, non-collapsing
-// geometry -- all via analyze_graph(), which also fixes the deterministic
-// execution order (Kahn's algorithm, ascending node id among ready nodes)
-// that CompiledModel runs nodes in, each on the whole ThreadPool, and the
-// wave structure (topological levels).
+// channel agreement into convs, conv stride >= 1 and pad >= 0, shape
+// agreement at joins, non-collapsing geometry -- all via analyze_graph(),
+// which also fixes the deterministic execution order (Kahn's algorithm,
+// ascending node id among ready nodes) that CompiledModel runs nodes in,
+// each on the whole ThreadPool, and the wave structure (topological
+// levels).
 //
 // PrecisionPolicy interaction: the policy resolves over *conv* nodes only,
 // indexed by execution order (joins carry no inner products, hence no
@@ -164,10 +165,15 @@ class GraphModel {
 /// graph (host-double convs + exact joins + post-ops), indexed by node id
 /// (the input node's slot is left empty).  THE reference forward pass for
 /// graphs: shared by CompiledModel's cached chain and Session::reference so
-/// the two can never drift.
+/// the two can never drift.  This overload runs every conv on one thread.
 std::vector<Tensor> graph_reference_outputs(const std::vector<GraphNode>& nodes,
                                             const GraphTopology& topo,
                                             const Tensor& input);
+/// Same, each conv on the whole `pool` (byte-identical for any pool size).
+std::vector<Tensor> graph_reference_outputs(const std::vector<GraphNode>& nodes,
+                                            const GraphTopology& topo,
+                                            const Tensor& input,
+                                            ThreadPool& pool);
 
 /// Order-sensitive content hash of a graph's name, topology, specs,
 /// post-ops and weight bytes -- the graph counterpart of model_fingerprint

@@ -36,7 +36,8 @@ struct RunSpec {
 };
 
 struct RunOptions {
-  /// Compute the exact FP32 reference chain and per-layer error metrics.
+  /// Compute the exact FP32 reference chain (on the run's pool) and
+  /// per-layer error metrics.
   bool compare_reference = true;
   /// Also run the cycle simulator on the model's shape table and attach the
   /// NetworkSimResult to the report.

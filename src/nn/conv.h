@@ -10,6 +10,8 @@
 
 namespace mpipu {
 
+class ThreadPool;
+
 /// Accumulation destination for the FP16 datapath convolution (§3.1).
 enum class AccumKind { kFp16, kFp32 };
 
@@ -17,13 +19,28 @@ struct ConvSpec {
   int stride = 1;
   int pad = 0;
 
+  /// stride >= 1 and pad >= 0; out_dim is defined only for valid specs.
+  bool valid() const { return stride >= 1 && pad >= 0; }
   int out_dim(int in, int k) const { return (in + 2 * pad - k) / stride + 1; }
 };
 
 /// Exact reference convolution in host double ("FP32 CPU" stand-in; double
 /// is a strict superset of FP32 for these magnitudes).
+///
+/// Sum-order contract: every output element is +0.0 plus the products
+/// input * filter of its in-bounds window taps, added one at a time in
+/// ci -> ky -> kx order.  The result is therefore a pure function of the
+/// operands -- identical for any pool size and for both overloads -- and
+/// byte-identical to the plain six-deep loop (tests/conv_oracle.h).
+///
+/// Throws std::invalid_argument on an invalid spec, on input.c !=
+/// filters.cin, and when the output map would be empty.
 Tensor conv_reference(const Tensor& input, const FilterBank& filters,
                       const ConvSpec& spec);
+/// Same, split over (output pixel, block of output channels) on `pool`;
+/// each slot writes only its own output elements.
+Tensor conv_reference(const Tensor& input, const FilterBank& filters,
+                      const ConvSpec& spec, ThreadPool& pool);
 
 /// Elementwise ReLU.
 Tensor relu(const Tensor& t);
@@ -51,6 +68,7 @@ struct AgreementStats {
   int64_t total = 0;
 };
 
+/// Throws std::invalid_argument when the two tensors differ in size.
 AgreementStats compare_outputs(const Tensor& test, const Tensor& reference);
 
 }  // namespace mpipu

@@ -1,11 +1,17 @@
-// Independent per-op convolution oracle for the compiled conv path.
+// Independent convolution oracles.
 //
-// For every output element the oracle gathers the in-bounds kernel window
-// in ky -> kx -> ci order and feeds it, n_inputs operand pairs at a time,
+// naive_conv_reference is the plain six-deep loop that nn/conv.h's
+// conv_reference must equal byte for byte (its sum-order contract).
+//
+// conv_fp16 / conv_int are the per-op oracle for the compiled conv path:
+// for every output element they gather the in-bounds kernel window in
+// ky -> kx -> ci order and feed it, n_inputs operand pairs at a time,
 // through one Datapath's span entry points: no plans, clip classes,
-// prepared planes or thread pools.  It shares no code with nn/conv_plan.h
-// or api/, so a test comparing a CompiledModel / Session run (outputs AND
-// DatapathStats) against it checks the executor instead of re-running it.
+// prepared planes or thread pools.
+//
+// This header shares no code with nn/conv_plan.h or api/ (lint rule
+// oracle-independence), so a test comparing against it checks the code
+// under test instead of re-running it.
 #pragma once
 
 #include <algorithm>
@@ -19,6 +25,34 @@
 #include "workload/quantizer.h"
 
 namespace mpipu::oracle {
+
+/// Exact host-double conv: +0.0 plus each in-bounds product, in
+/// ci -> ky -> kx order, one bounds check per tap.
+inline Tensor naive_conv_reference(const Tensor& input, const FilterBank& filters,
+                                   const ConvSpec& spec) {
+  const int ho = spec.out_dim(input.h, filters.kh);
+  const int wo = spec.out_dim(input.w, filters.kw);
+  Tensor out(filters.cout, ho, wo);
+  for (int co = 0; co < filters.cout; ++co) {
+    for (int y = 0; y < ho; ++y) {
+      for (int x = 0; x < wo; ++x) {
+        double acc = 0.0;
+        for (int ci = 0; ci < input.c; ++ci) {
+          for (int ky = 0; ky < filters.kh; ++ky) {
+            for (int kx = 0; kx < filters.kw; ++kx) {
+              const int iy = y * spec.stride + ky - spec.pad;
+              const int ix = x * spec.stride + kx - spec.pad;
+              if (iy < 0 || iy >= input.h || ix < 0 || ix >= input.w) continue;
+              acc += input.at(ci, iy, ix) * filters.at(co, ci, ky, kx);
+            }
+          }
+        }
+        out.at(co, y, x) = acc;
+      }
+    }
+  }
+  return out;
+}
 
 /// One conv's output plus the counters of the single datapath it ran on.
 struct ConvResult {

@@ -12,8 +12,9 @@
 //    table, and resnet18_graph()'s table at 224x224 carries exactly the
 //    MACs of the hand-built resnet18_forward() table;
 //  * compile-time topology validation: cycles, multiple inputs/outputs,
-//    join shape mismatches, channel breaks, collapsing geometry and
-//    weightless graphs are all rejected with std::invalid_argument;
+//    join shape mismatches, channel breaks, stride < 1 or pad < 0,
+//    collapsing geometry and weightless graphs are all rejected with
+//    std::invalid_argument;
 //  * PrecisionPolicy resolves over conv nodes only (joins carry no
 //    precision), with first/last meaning first/last conv in execution
 //    order.
@@ -341,6 +342,17 @@ TEST(GraphModelTest, TopologyValidationErrors) {
     b.inputs = {1};
     b.filters = random_filters(rng, 4, 7, 3, 3, ValueDist::kNormal, 0.2);
     expect_invalid({in, a, b}, "channel break");
+  }
+  // Invalid conv specs: a 3x3 stride-0 conv on the 8x8 input used to end
+  // the process with SIGFPE inside analyze_graph.
+  for (const ConvSpec bad : {ConvSpec{0, 1}, ConvSpec{-1, 1}, ConvSpec{1, -1}}) {
+    GraphNode a = conv;
+    a.spec = bad;
+    expect_invalid({in, a}, "invalid conv spec");
+    EXPECT_THROW((void)analyze_graph({in, a}, 8, 8), std::invalid_argument);
+    GraphModel g = GraphModel::from_nodes("bad", {in, a});
+    EXPECT_THROW((void)CompiledModel::compile(g, spec, {8, 8}),
+                 std::invalid_argument);
   }
   // Input channels not inferable: input feeds only a join.
   {

@@ -68,6 +68,16 @@ void expect_reports_identical(const RunReport& a, const RunReport& b,
   EXPECT_EQ(a.to_json(), b.to_json()) << what;
 }
 
+void expect_errors_identical(const AgreementStats& a, const AgreementStats& b,
+                             const std::string& node) {
+  EXPECT_EQ(a.max_abs_err, b.max_abs_err) << "node " << node;
+  EXPECT_EQ(a.mean_abs_err, b.mean_abs_err) << "node " << node;
+  EXPECT_EQ(a.max_rel_err, b.max_rel_err) << "node " << node;
+  EXPECT_EQ(a.snr_db, b.snr_db) << "node " << node;
+  EXPECT_EQ(a.mismatched_fp16, b.mismatched_fp16) << "node " << node;
+  EXPECT_EQ(a.total, b.total) << "node " << node;
+}
+
 TEST(GraphStress, HostThreadsHammeringOneCompiledModelMatchSerial) {
   const GraphModel graph = stress_graph();
   Rng rng(0x57E56);
@@ -124,8 +134,9 @@ TEST(GraphStress, HostThreadsHammeringOneCompiledModelMatchSerial) {
 TEST(GraphStress, PoolThreadCountNeverChangesResults) {
   // Intra-call parallelism: the same graph compiled at 1, 2 and 5 pool
   // threads -- every node, branches included, runs on the whole pool split
-  // over (pixel, output channel); tensors, per-node stats and reports must
-  // be identical.  The 2x2 and 1x1 inputs make every map (4 or 1 pixels)
+  // over (pixel, output channel), and so does its FP32 reference conv;
+  // tensors, per-node stats, the reference output and every node's error
+  // must be identical.  The 2x2 and 1x1 inputs make every map (4 or 1 pixels)
   // smaller than 5 slots, so pixels are split across channels in every
   // node; at 1x1 a slot's range can lie inside one pixel.
   const GraphModel graph = stress_graph();
@@ -140,6 +151,7 @@ TEST(GraphStress, PoolThreadCountNeverChangesResults) {
       spec.datapath = small_datapath(scheme);
       spec.threads = 1;
       const RunReport r1 = Session(spec).compile(graph, {hw, hw}).run(input);
+      ASSERT_FALSE(r1.reference_output.data.empty());
       for (int threads : {2, 5}) {
         spec.threads = threads;
         const RunReport rn =
@@ -148,11 +160,16 @@ TEST(GraphStress, PoolThreadCountNeverChangesResults) {
                      std::to_string(hw) + "x" + std::to_string(hw) + " " +
                      std::to_string(threads) + " threads");
         ASSERT_EQ(rn.output.data, r1.output.data);
+        // The FP32 reference chain runs on the same pool, split over
+        // (pixel, channel block).
+        ASSERT_EQ(rn.reference_output.data, r1.reference_output.data);
         EXPECT_EQ(rn.totals, r1.totals);
         ASSERT_EQ(rn.layers.size(), r1.layers.size());
         for (size_t l = 0; l < r1.layers.size(); ++l) {
           EXPECT_EQ(rn.layers[l].stats, r1.layers[l].stats)
               << "node " << r1.layers[l].layer;
+          expect_errors_identical(rn.layers[l].error, r1.layers[l].error,
+                                  r1.layers[l].layer);
         }
       }
     }

@@ -1,8 +1,19 @@
-// Integration tests: convolution on the bit-accurate IPU datapath (a
+// The exact reference conv (byte-identical to the naive loop of
+// tests/conv_oracle.h for any pool size, typed errors on bad geometry) and
+// integration tests: convolution on the bit-accurate IPU datapath (a
 // one-layer Model through Session::run) vs the exact reference -- the
 // mechanism behind the paper's §3.1 accuracy claims.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/thread_pool.h"
+#include "conv_oracle.h"
 #include "nn/conv.h"
 #include "single_conv.h"
 #include "workload/quantizer.h"
@@ -54,6 +65,117 @@ TEST(ConvReference, PaddingAndStride) {
   ASSERT_EQ(out.w, 2);
   EXPECT_DOUBLE_EQ(out.at(0, 0, 0), 4.0);  // corner sees 2x2 of ones
   EXPECT_DOUBLE_EQ(out.at(0, 1, 1), 9.0);  // interior sees full 3x3
+}
+
+/// Normal values of which about a third are exact +0.0 or -0.0, so some
+/// windows (small kernels, few channels) sum nothing but signed zeros.
+void fill_with_signed_zeros(Rng& rng, std::vector<double>& v) {
+  for (double& x : v) {
+    const double u = rng.uniform(0.0, 1.0);
+    x = u < 0.17 ? 0.0 : u < 0.34 ? -0.0 : rng.normal(0.0, 1.0);
+  }
+}
+
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.c == b.c && a.h == b.h && a.w == b.w &&
+         a.data.size() == b.data.size() &&
+         std::memcmp(a.data.data(), b.data.data(),
+                     a.data.size() * sizeof(double)) == 0;
+}
+
+TEST(ConvReference, BitIdenticalToNaiveLoop) {
+  // Every kernel size, stride and pad -- pad k leaves border outputs with
+  // no in-bounds tap -- over maps smaller than a window and larger, channel
+  // counts below, at and around the 8-channel block, and pools that split
+  // pixels across slots.  Where the spec is a stride-1 pad < k one, the
+  // filters are a transposed forward bank, so dgrad_reference is checked
+  // against the same naive output.
+  ThreadPool pool1(1), pool3(3), pool5(5);
+  const std::pair<int, int> maps[] = {{1, 1}, {1, 2}, {2, 2}, {5, 7}, {17, 16}};
+  Rng rng(0xC0DE15);
+  int compared = 0, dgrads = 0, collapsed = 0;
+  for (const int k : {1, 3, 5, 7}) {
+    std::vector<int> pads = {0, 1, k / 2, k};
+    std::sort(pads.begin(), pads.end());
+    pads.erase(std::unique(pads.begin(), pads.end()), pads.end());
+    for (const int stride : {1, 2}) {
+      for (const int pad : pads) {
+        const ConvSpec spec{stride, pad};
+        for (const auto& [h, w] : maps) {
+          for (const int cin : {1, 3, 33}) {
+            Tensor in(cin, h, w);
+            fill_with_signed_zeros(rng, in.data);
+            if (spec.out_dim(h, k) <= 0 || spec.out_dim(w, k) <= 0) {
+              EXPECT_THROW(conv_reference(in, FilterBank(1, cin, k, k), spec),
+                           std::invalid_argument);
+              ++collapsed;
+              continue;
+            }
+            for (const int cout : {1, 7, 8, 9, 20}) {
+              FilterBank fwd(cin, cout, k, k);
+              fill_with_signed_zeros(rng, fwd.data);
+              const FilterBank f = transpose_for_dgrad(fwd);
+              const Tensor want = oracle::naive_conv_reference(in, f, spec);
+              const auto where = [&] {
+                return "k " + std::to_string(k) + " stride " +
+                       std::to_string(stride) + " pad " + std::to_string(pad) +
+                       " map " + std::to_string(h) + "x" + std::to_string(w) +
+                       " cin " + std::to_string(cin) + " cout " +
+                       std::to_string(cout);
+              };
+              EXPECT_TRUE(same_bytes(conv_reference(in, f, spec), want))
+                  << where() << ", 3-argument overload";
+              for (ThreadPool* pool : {&pool1, &pool3, &pool5}) {
+                EXPECT_TRUE(
+                    same_bytes(conv_reference(in, f, spec, *pool), want))
+                    << where() << ", pool of " << pool->size();
+              }
+              ++compared;
+              if (stride == 1 && pad < k) {
+                EXPECT_TRUE(
+                    same_bytes(dgrad_reference(in, fwd, k - 1 - pad), want))
+                    << where() << ", dgrad_reference";
+                ++dgrads;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // The grid reaches every branch it was built for.
+  EXPECT_EQ(compared, 1500);
+  EXPECT_EQ(dgrads, 435);
+  EXPECT_EQ(collapsed, 90);
+}
+
+TEST(ConvReference, RejectsInvalidGeometryInEveryBuildMode) {
+  ThreadPool pool(3);
+  const Tensor in(3, 8, 8);
+  const FilterBank f(4, 3, 3, 3);
+  for (const ConvSpec bad : {ConvSpec{0, 1}, ConvSpec{-1, 1}, ConvSpec{1, -1}}) {
+    EXPECT_THROW(conv_reference(in, f, bad), std::invalid_argument)
+        << "stride " << bad.stride << " pad " << bad.pad;
+    EXPECT_THROW(conv_reference(in, f, bad, pool), std::invalid_argument);
+  }
+  // Channel mismatch: the filters expect 4 input channels, the input has 3.
+  EXPECT_THROW(conv_reference(in, FilterBank(4, 4, 3, 3), ConvSpec{}),
+               std::invalid_argument);
+  // Collapsed output: a 3x3 / pad-0 kernel over a 1x1 input.
+  EXPECT_THROW(conv_reference(Tensor(3, 1, 1), f, ConvSpec{}),
+               std::invalid_argument);
+  EXPECT_THROW(conv_reference(Tensor(3, 1, 1), f, ConvSpec{}, pool),
+               std::invalid_argument);
+  // The gradient of a 4-output-channel conv has 4 channels, not 3.
+  EXPECT_THROW(dgrad_reference(Tensor(3, 8, 8), FilterBank(4, 3, 3, 3), 1),
+               std::invalid_argument);
+}
+
+TEST(CompareOutputs, RejectsSizeMismatch) {
+  const Tensor a(2, 3, 3), b(2, 3, 4);
+  EXPECT_THROW(compare_outputs(a, b), std::invalid_argument);
+  EXPECT_THROW(compare_outputs(b, a), std::invalid_argument);
+  EXPECT_EQ(compare_outputs(a, a).total, 18);
 }
 
 TEST(ConvIpu, WideIpuConvIsExactOnFp16Inputs) {

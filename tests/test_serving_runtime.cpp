@@ -10,7 +10,8 @@
 //  * shutdown: kDrain completes every accepted request, kAbort resolves the
 //    still-queued ones as kShutdown, submissions after shutdown are
 //    rejected immediately;
-//  * the load() plan cache: content dedup, LRU eviction, handle lifetime;
+//  * the load() plan cache: content dedup, LRU eviction, handle lifetime,
+//    and a typed load-time error (not a crash) for an invalid conv spec;
 //  * fault tolerance: admission-time bad-input shedding, per-request
 //    isolation of a poisoned batch, the circuit breaker's full
 //    open/half-open/closed cycle under a ManualClock, the watchdog's stall
@@ -370,6 +371,29 @@ TEST(ServingRuntime, PlanCacheDedupsAndEvictsLru) {
     Tensor in = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
     (void)rt.submit(ha, std::move(in));  // must throw, not return a future
   }, std::out_of_range);
+}
+
+TEST(ServingRuntime, LoadRejectsInvalidConvSpecWithoutCaching) {
+  // A 3x3 stride-0 conv on an 8x8 input used to end the process with
+  // SIGFPE inside load(); it must fail at load time, as a typed error, and
+  // leave the plan cache usable.
+  Rng rng(7012);
+  ServingRuntime rt(serving_spec());
+  ConvSpec stride0;
+  stride0.stride = 0;
+  stride0.pad = 1;
+  const Model chain = Model::from_layers(
+      "stride0",
+      {ModelLayer{"conv", random_filters(rng, 4, 3, 3, 3, ValueDist::kNormal, 0.3),
+                  stride0}});
+  EXPECT_THROW(rt.load(chain, 8, 8), std::invalid_argument);
+  GraphModel::Builder b("stride0-graph");
+  b.conv("conv", random_filters(rng, 4, 3, 3, 3, ValueDist::kNormal, 0.3),
+         stride0, b.input());
+  EXPECT_THROW(rt.load(b.build(), 8, 8), std::invalid_argument);
+  EXPECT_EQ(rt.loaded_count(), 0u);
+  EXPECT_NO_THROW(rt.load(fast_model(rng), 8, 8));
+  EXPECT_EQ(rt.loaded_count(), 1u);
 }
 
 TEST(ServingRuntime, MetricsJsonHasTheContractKeys) {

@@ -19,6 +19,9 @@ Rules:
                    (update only via --update-scalar-baseline)
   include-hygiene  quoted includes in src/ resolve from the src/ root, no
                    `..` segments, every src/ header opens with #pragma once
+  oracle-independence
+                   nn/conv.{h,cpp} and tests/conv_oracle.h include nothing
+                   from nn/conv_plan.h, core/prepared.h or api/
   bench-schema     the committed BENCH_*.json artifacts parse, carry their
                    contract keys, never commit bit_identical/conserved
                    == false, and are not listed in .gitignore
@@ -288,6 +291,46 @@ def check_include_hygiene(root):
 
 
 # --------------------------------------------------------------------------
+# Rule: oracle-independence
+# --------------------------------------------------------------------------
+
+# The exact reference conv and the tests' oracles: what the compiled conv
+# path is judged against, so they must not reuse its geometry or planes.
+ORACLE_FILES = [
+    Path("src/nn/conv.h"),
+    Path("src/nn/conv.cpp"),
+    Path("tests/conv_oracle.h"),
+]
+ORACLE_BANNED_INCLUDES = ("nn/conv_plan.h", "core/prepared.h")
+ORACLE_BANNED_DIRS = ("api/",)
+
+
+def check_oracle_independence(root):
+    violations = []
+    for rel in ORACLE_FILES:
+        path = root / rel
+        if not path.exists():
+            violations.append(Violation(
+                "oracle-independence", rel, 0,
+                "oracle file is missing -- if it moved, update ORACLE_FILES"
+                " in tools/lint/lint.py so the rule keeps guarding it"))
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            m = re.match(r'\s*#\s*include\s+["<]([^">]+)[">]', line)
+            if not m:
+                continue
+            inc = m.group(1)
+            if inc in ORACLE_BANNED_INCLUDES or inc.startswith(
+                    ORACLE_BANNED_DIRS):
+                violations.append(Violation(
+                    "oracle-independence", rel, lineno,
+                    f'includes "{inc}": the reference conv and the test'
+                    " oracles must share no code with the executor they"
+                    " judge (nn/conv_plan.h, core/prepared.h, api/)"))
+    return violations
+
+
+# --------------------------------------------------------------------------
 # Rule: bench-schema
 # --------------------------------------------------------------------------
 
@@ -391,6 +434,7 @@ ALL_RULES = [
     check_kernel_purity,
     check_scalar_oracle,
     check_include_hygiene,
+    check_oracle_independence,
     check_bench_schema,
 ]
 

@@ -23,7 +23,17 @@ def make_tree(root):
     (root / "src" / "common").mkdir(parents=True)
     (root / "src" / "serve").mkdir(parents=True)
     (root / "src" / "core" / "simd").mkdir(parents=True)
+    (root / "src" / "nn").mkdir(parents=True)
+    (root / "tests").mkdir(parents=True)
     (root / "tools" / "lint").mkdir(parents=True)
+
+    (root / "src" / "nn" / "tensor.h").write_text("#pragma once\n")
+    (root / "src" / "nn" / "conv.h").write_text(
+        "#pragma once\n#include \"nn/tensor.h\"\nclass ThreadPool;\n")
+    (root / "src" / "nn" / "conv.cpp").write_text(
+        "#include \"nn/conv.h\"\n#include <vector>\n")
+    (root / "tests" / "conv_oracle.h").write_text(
+        "#pragma once\n#include \"nn/conv.h\"\n")
 
     (root / "src" / "common" / "annotated_mutex.h").write_text(
         "#pragma once\n#include <mutex>\nclass Mutex { std::mutex mu_; };\n")
@@ -134,6 +144,29 @@ def main():
         (root / "src" / "serve" / "no_pragma.h").write_text(
             "#ifndef NO_PRAGMA_H\n#define NO_PRAGMA_H\n#endif\n")
     )), "include-hygiene", "no_pragma.h")
+
+    # oracle-independence: the test oracle reaching into the executor's
+    # plans, and the reference conv including the api/ layer above it.
+    def seed_oracle_include(root):
+        (root / "src" / "nn" / "conv_plan.h").write_text("#pragma once\n")
+        p = root / "tests" / "conv_oracle.h"
+        p.write_text(p.read_text() + "#include \"nn/conv_plan.h\"\n")
+    expect("oracle-independence", in_fresh_tree(seed_oracle_include),
+           "oracle-independence", "conv_oracle.h")
+
+    def seed_reference_include(root):
+        (root / "src" / "api").mkdir()
+        (root / "src" / "api" / "session.h").write_text("#pragma once\n")
+        p = root / "src" / "nn" / "conv.cpp"
+        p.write_text(p.read_text() + "#include \"api/session.h\"\n")
+    expect("oracle-independence (api/)", in_fresh_tree(seed_reference_include),
+           "oracle-independence", "conv.cpp")
+
+    # ... and an oracle file that moved must not leave the rule silently
+    # guarding nothing.
+    expect("oracle-independence (missing file)", in_fresh_tree(
+        lambda root: (root / "src" / "nn" / "conv.cpp").unlink()),
+        "oracle-independence", "conv.cpp")
 
     # bench-schema: a committed artifact recording a broken invariant.
     expect("bench-schema", in_fresh_tree(lambda root: (
