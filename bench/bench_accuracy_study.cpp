@@ -8,10 +8,11 @@
 // precision 8 mostly agrees on average but fluctuates per batch.
 //
 // Migrated onto the high-level API: the CNN (convs + ReLU/pool post-ops) is
-// one Model, each precision point is one Session whose RunSpec carries the
-// datapath, and run_batch over the image batch replaces the hand-wired
-// per-image forward loops.  Results are also written to BENCH_accuracy.json
-// through RunReport's JSON emitter (the repo's single JSON serializer).
+// one GraphModel chain, each precision point is one Session whose RunSpec
+// carries the datapath, and run_batch over the image batch replaces the
+// hand-wired per-image forward loops.  Results are also written to
+// BENCH_accuracy.json through RunReport's JSON emitter (the repo's single
+// JSON serializer).
 //
 //   ./bench_accuracy_study [--smoke]
 //     --smoke: small batch / fewer precision points (CI perf trajectory)
@@ -26,27 +27,28 @@
 namespace mpipu {
 namespace {
 
-Model make_cnn(Rng& rng) {
-  std::vector<ModelLayer> layers(4);
+GraphModel make_cnn(Rng& rng) {
   ConvSpec pad1;
   pad1.pad = 1;
-  layers[0] = {"conv1",
-               random_filters(rng, 16, 3, 3, 3, ValueDist::kNormal, 0.25)
-                   .rounded_to_fp16(),
-               pad1, /*relu=*/true, PoolOp::kMax2};
-  layers[1] = {"conv2",
-               random_filters(rng, 32, 16, 3, 3, ValueDist::kNormal, 0.12)
-                   .rounded_to_fp16(),
-               pad1, /*relu=*/true, PoolOp::kMax2};
-  layers[2] = {"conv3",
-               random_filters(rng, 32, 32, 3, 3, ValueDist::kNormal, 0.09)
-                   .rounded_to_fp16(),
-               pad1, /*relu=*/true, PoolOp::kGlobalAvg};
-  layers[3] = {"head",
-               random_filters(rng, 10, 32, 1, 1, ValueDist::kNormal, 0.2)
-                   .rounded_to_fp16(),
-               ConvSpec{}, /*relu=*/false, PoolOp::kNone};
-  return Model::from_layers("small-cnn", std::move(layers));
+  GraphModel::Builder b("small-cnn");
+  int x = b.input();
+  x = b.conv("conv1",
+             random_filters(rng, 16, 3, 3, 3, ValueDist::kNormal, 0.25)
+                 .rounded_to_fp16(),
+             pad1, x, /*relu=*/true, PoolOp::kMax2);
+  x = b.conv("conv2",
+             random_filters(rng, 32, 16, 3, 3, ValueDist::kNormal, 0.12)
+                 .rounded_to_fp16(),
+             pad1, x, /*relu=*/true, PoolOp::kMax2);
+  x = b.conv("conv3",
+             random_filters(rng, 32, 32, 3, 3, ValueDist::kNormal, 0.09)
+                 .rounded_to_fp16(),
+             pad1, x, /*relu=*/true, PoolOp::kGlobalAvg);
+  b.conv("head",
+         random_filters(rng, 10, 32, 1, 1, ValueDist::kNormal, 0.2)
+             .rounded_to_fp16(),
+         ConvSpec{}, x, /*relu=*/false, PoolOp::kNone);
+  return b.build();
 }
 
 int argmax(const Tensor& logits) {
@@ -67,7 +69,7 @@ int main(int argc, char** argv) {
   if (smoke) std::printf("(smoke mode: reduced batch and precision sweep)\n");
 
   Rng rng(0xACC);
-  const Model model = make_cnn(rng);
+  const GraphModel model = make_cnn(rng);
   const int batch = smoke ? 8 : 48;
   std::vector<Tensor> images;
   for (int i = 0; i < batch; ++i) {

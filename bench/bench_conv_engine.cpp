@@ -7,7 +7,7 @@
 //     patch gather of Fp16 values, per-op decode + decompose + allocating
 //     EHU inside each scheme's original fp_accumulate entry point),
 //   * the compiled conv path (decode once, allocate never): compile plus
-//     run of a one-layer Model, at 1 and hardware_concurrency threads,
+//     run of a one-conv GraphModel, at 1 and hardware_concurrency threads,
 //
 // for every decomposition scheme.  Verifies all paths produce bit-identical
 // tensors and matching cycle/op counts (one call's RunReport.totals)
@@ -246,9 +246,9 @@ double time_seconds(const std::function<Result()>& fn, Result* out) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-/// What one conv on the datapath costs: compile the one-layer model (filter
+/// What one conv on the datapath costs: compile the one-conv model (filter
 /// packing) and run it once without the FP32 reference chain.
-RunReport compile_and_run(const Model& model, const Tensor& input,
+RunReport compile_and_run(const GraphModel& model, const Tensor& input,
                           const RunSpec& spec) {
   RunOptions opts;
   opts.compare_reference = false;
@@ -290,8 +290,9 @@ int main(int argc, char** argv) {
       random_filters(rng, co, ci, 3, 3, ValueDist::kNormal, 0.2);
   ConvSpec spec;
   spec.pad = 1;
-  const Model model =
-      Model::from_layers("conv", {ModelLayer{"conv", filters, spec}});
+  GraphModel::Builder builder("conv");
+  builder.conv("conv", filters, spec, builder.input());
+  const GraphModel model = builder.build();
 
   const int hw = static_cast<int>(
       std::max(1u, std::thread::hardware_concurrency()));

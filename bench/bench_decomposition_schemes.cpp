@@ -105,7 +105,7 @@ int main() {
   // that scheme (one RunSpec drives the whole cycle-sim path).
   bench::section("ResNet-18 forward, big tile, per scheme (Session::estimate)");
   {
-    const Model model = Model::from_network(resnet18_forward());
+    const Network model = resnet18_forward();
     bench::Table t({"scheme", "total tile cycles", "vs temporal"});
     double temporal_cycles = 0.0;
     for (auto scheme : {DecompositionScheme::kTemporal,

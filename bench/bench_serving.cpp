@@ -59,17 +59,17 @@ using bench::tensors_identical;
 /// FC-style serving head: chained 1x1 convs on a 1x1 map (per-request
 /// activations are tiny, weights are everything -- the shape a classifier
 /// head or recommender tower serves at).
-Model serving_head(Rng& rng, int c0, int c1, int c_out) {
-  std::vector<ModelLayer> layers(3);
-  layers[0].name = "fc1";
-  layers[0].filters = random_filters(rng, c1, c0, 1, 1, ValueDist::kNormal, 0.15);
-  layers[0].relu = true;
-  layers[1].name = "fc2";
-  layers[1].filters = random_filters(rng, c1, c1, 1, 1, ValueDist::kNormal, 0.1);
-  layers[1].relu = true;
-  layers[2].name = "logits";
-  layers[2].filters = random_filters(rng, c_out, c1, 1, 1, ValueDist::kNormal, 0.1);
-  return Model::from_layers("serving-head", std::move(layers));
+GraphModel serving_head(Rng& rng, int c0, int c1, int c_out) {
+  GraphModel::Builder b("serving-head");
+  int x = b.input();
+  x = b.conv("fc1", random_filters(rng, c1, c0, 1, 1, ValueDist::kNormal, 0.15),
+             ConvSpec{}, x, /*relu=*/true);
+  x = b.conv("fc2", random_filters(rng, c1, c1, 1, 1, ValueDist::kNormal, 0.1),
+             ConvSpec{}, x, /*relu=*/true);
+  b.conv("logits",
+         random_filters(rng, c_out, c1, 1, 1, ValueDist::kNormal, 0.1),
+         ConvSpec{}, x);
+  return b.build();
 }
 
 struct SectionResult {
@@ -206,7 +206,7 @@ int main(int argc, char** argv) {
   const int c1 = smoke ? 96 : 384;
   const int c_out = smoke ? 32 : 128;
   const int requests = smoke ? 4 : 12;
-  const Model model = serving_head(rng, c0, c1, c_out);
+  const GraphModel model = serving_head(rng, c0, c1, c_out);
   std::vector<Tensor> inputs;
   for (int i = 0; i < 3; ++i) {
     inputs.push_back(random_tensor(rng, c0, 1, 1, ValueDist::kHalfNormal, 1.0));

@@ -59,8 +59,8 @@ int main(int argc, char** argv) {
 
   // Every design is scored through the high-level API: one Session per
   // candidate, whose RunSpec datapath + tile geometry come from the design,
-  // estimating the same shape-table Model.
-  const Model model = Model::from_network(resnet18_forward());
+  // estimating the same shape table.
+  const Network model = resnet18_forward();
   SimOptions opts;
   opts.sampled_steps = smoke ? 80 : 300;
 

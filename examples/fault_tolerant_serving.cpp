@@ -29,12 +29,13 @@ using namespace mpipu::serve;
 
 int main() {
   Rng rng(77);
-  std::vector<ModelLayer> layers(2);
-  layers[0] = {"stem", random_filters(rng, 8, 3, 3, 3, ValueDist::kNormal, 0.3),
-               ConvSpec{.stride = 1, .pad = 1}, /*relu=*/true, PoolOp::kNone};
-  layers[1] = {"head", random_filters(rng, 4, 8, 1, 1, ValueDist::kNormal, 0.2),
-               ConvSpec{}, /*relu=*/false, PoolOp::kGlobalAvg};
-  const Model model = Model::from_layers("ft-demo", std::move(layers));
+  GraphModel::Builder b("ft-demo");
+  const int stem =
+      b.conv("stem", random_filters(rng, 8, 3, 3, 3, ValueDist::kNormal, 0.3),
+             ConvSpec{.stride = 1, .pad = 1}, b.input(), /*relu=*/true);
+  b.conv("head", random_filters(rng, 4, 8, 1, 1, ValueDist::kNormal, 0.2),
+         ConvSpec{}, stem, /*relu=*/false, PoolOp::kGlobalAvg);
+  const GraphModel model = b.build();
   const Tensor input = random_tensor(rng, 3, 12, 12, ValueDist::kHalfNormal, 1.0);
 
   // A chaos schedule that fails EVERY execution attempt until switched off.

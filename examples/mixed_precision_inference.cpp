@@ -3,10 +3,10 @@
 // robust middle layers, INT8 where quantization is harder, FP16 for the
 // sensitive first/last layers -- all running on the *same* IPU datapath.
 //
-// Migrated onto the high-level API: the layer list is a Model, the per-layer
-// choices are a PrecisionPolicy (the int8_except_first_last preset plus one
-// INT4 override), and a single Session::run produces the whole
-// accuracy/cycles table that used to be hand-wired per-conv calls.
+// Migrated onto the high-level API: the layer chain is a GraphModel, the
+// per-layer choices are a PrecisionPolicy (the int8_except_first_last
+// preset plus one INT4 override), and a single Session::run produces the
+// whole accuracy/cycles table that used to be hand-wired per-conv calls.
 //
 //   ./examples/mixed_precision_inference
 #include <cstdio>
@@ -24,20 +24,21 @@ int main() {
 
   ConvSpec pad1;
   pad1.pad = 1;
-  std::vector<ModelLayer> layers(4);
-  layers[0] = {"conv1 (sensitive)",
-               random_filters(rng, 16, 3, 3, 3, ValueDist::kNormal, 0.3), pad1,
-               /*relu=*/true, PoolOp::kNone};
-  layers[1] = {"conv2 (robust)",
-               random_filters(rng, 24, 16, 3, 3, ValueDist::kNormal, 0.1), pad1,
-               /*relu=*/true, PoolOp::kNone};
-  layers[2] = {"conv3 (robust)",
-               random_filters(rng, 24, 24, 3, 3, ValueDist::kNormal, 0.1), pad1,
-               /*relu=*/true, PoolOp::kNone};
-  layers[3] = {"head (sensitive)",
-               random_filters(rng, 10, 24, 1, 1, ValueDist::kNormal, 0.2),
-               ConvSpec{}, /*relu=*/true, PoolOp::kNone};
-  const Model model = Model::from_layers("mixed-cnn", std::move(layers));
+  GraphModel::Builder b("mixed-cnn");
+  int x = b.input();
+  x = b.conv("conv1 (sensitive)",
+             random_filters(rng, 16, 3, 3, 3, ValueDist::kNormal, 0.3), pad1,
+             x, /*relu=*/true);
+  x = b.conv("conv2 (robust)",
+             random_filters(rng, 24, 16, 3, 3, ValueDist::kNormal, 0.1), pad1,
+             x, /*relu=*/true);
+  x = b.conv("conv3 (robust)",
+             random_filters(rng, 24, 24, 3, 3, ValueDist::kNormal, 0.1), pad1,
+             x, /*relu=*/true);
+  b.conv("head (sensitive)",
+         random_filters(rng, 10, 24, 1, 1, ValueDist::kNormal, 0.2), ConvSpec{},
+         x, /*relu=*/true);
+  const GraphModel model = b.build();
 
   // One RunSpec serves every layer; swap `scheme` to run the whole net on
   // the serial or spatial decomposition instead.  The policy preset keeps

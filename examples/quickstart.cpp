@@ -1,11 +1,12 @@
 // Quickstart: the mixed-precision IPU in five minutes.
 //
-// The high-level API in three types: a Model (layers + real weights), a
-// PrecisionPolicy (per-layer FP16/INT choice), and a Session whose one
-// RunSpec drives BOTH evaluation paths the paper uses -- the bit-accurate
-// numeric forward pass (Session::run) and the cycle-level tile simulation
-// (Session::estimate).  A low-level coda shows the same datapath at the
-// single-inner-product level across all three decomposition schemes.
+// The high-level API in three types: a GraphModel (here a three-conv
+// chain with real weights, built one conv at a time), a PrecisionPolicy
+// (per-layer FP16/INT choice), and a Session whose one RunSpec drives BOTH
+// evaluation paths the paper uses -- the bit-accurate numeric forward pass
+// (Session::run) and the cycle-level tile simulation (Session::estimate).
+// A low-level coda shows the same datapath at the single-inner-product
+// level across all three decomposition schemes.
 //
 //   ./examples/quickstart
 #include <cstdio>
@@ -22,14 +23,18 @@ int main() {
 
   // --- A tiny CNN with real weights -----------------------------------------
   Rng rng(7);
-  std::vector<ModelLayer> layers(3);
-  layers[0] = {"stem", random_filters(rng, 16, 3, 3, 3, ValueDist::kNormal, 0.3),
-               ConvSpec{.stride = 1, .pad = 1}, /*relu=*/true, PoolOp::kNone};
-  layers[1] = {"body", random_filters(rng, 24, 16, 3, 3, ValueDist::kNormal, 0.1),
-               ConvSpec{.stride = 1, .pad = 1}, /*relu=*/true, PoolOp::kMax2};
-  layers[2] = {"head", random_filters(rng, 10, 24, 1, 1, ValueDist::kNormal, 0.2),
-               ConvSpec{}, /*relu=*/false, PoolOp::kGlobalAvg};
-  const Model model = Model::from_layers("tiny-cnn", std::move(layers));
+  const ConvSpec pad1{.stride = 1, .pad = 1};
+  GraphModel::Builder net("tiny-cnn");
+  int x = net.input();
+  x = net.conv("stem",
+               random_filters(rng, 16, 3, 3, 3, ValueDist::kNormal, 0.3), pad1,
+               x, /*relu=*/true);
+  x = net.conv("body",
+               random_filters(rng, 24, 16, 3, 3, ValueDist::kNormal, 0.1), pad1,
+               x, /*relu=*/true, PoolOp::kMax2);
+  net.conv("head", random_filters(rng, 10, 24, 1, 1, ValueDist::kNormal, 0.2),
+           ConvSpec{}, x, /*relu=*/false, PoolOp::kGlobalAvg);
+  const GraphModel model = net.build();
   const Tensor input = random_tensor(rng, 3, 16, 16, ValueDist::kHalfNormal, 1.0);
 
   // --- One RunSpec: datapath + tile + policy + threads ----------------------

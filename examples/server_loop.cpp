@@ -23,14 +23,15 @@ using namespace mpipu;
 int main() {
   // ---- load time: model + runtime --------------------------------------
   Rng rng(99);
-  std::vector<ModelLayer> layers(3);
-  layers[0] = {"stem", random_filters(rng, 16, 3, 3, 3, ValueDist::kNormal, 0.3),
-               ConvSpec{.stride = 1, .pad = 1}, /*relu=*/true, PoolOp::kNone};
-  layers[1] = {"body", random_filters(rng, 24, 16, 3, 3, ValueDist::kNormal, 0.1),
-               ConvSpec{.stride = 1, .pad = 1}, /*relu=*/true, PoolOp::kMax2};
-  layers[2] = {"head", random_filters(rng, 10, 24, 1, 1, ValueDist::kNormal, 0.2),
-               ConvSpec{}, /*relu=*/false, PoolOp::kGlobalAvg};
-  const Model model = Model::from_layers("tiny-cnn", std::move(layers));
+  GraphModel::Builder b("tiny-cnn");
+  int x = b.input();
+  x = b.conv("stem", random_filters(rng, 16, 3, 3, 3, ValueDist::kNormal, 0.3),
+             ConvSpec{.stride = 1, .pad = 1}, x, /*relu=*/true);
+  x = b.conv("body", random_filters(rng, 24, 16, 3, 3, ValueDist::kNormal, 0.1),
+             ConvSpec{.stride = 1, .pad = 1}, x, /*relu=*/true, PoolOp::kMax2);
+  b.conv("head", random_filters(rng, 10, 24, 1, 1, ValueDist::kNormal, 0.2),
+         ConvSpec{}, x, /*relu=*/false, PoolOp::kGlobalAvg);
+  const GraphModel model = b.build();
 
   RunSpec spec;
   spec.datapath.adder_tree_width = 16;  // MC-IPU(16)

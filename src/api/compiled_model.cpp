@@ -3,7 +3,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "common/fnv1a.h"
 #include "core/simd/simd.h"
 #include "nn/elementwise.h"
 
@@ -28,59 +27,12 @@ void check_compile_dims(const CompileOptions& opts) {
 
 }  // namespace
 
-uint64_t model_fingerprint(const Model& model) {
-  Fnv1a h;
-  h.str(model.name());
-  h.pod(static_cast<uint64_t>(model.layers().size()));
-  for (const ModelLayer& l : model.layers()) {
-    h.str(l.name);
-    h.pod(l.spec.stride);
-    h.pod(l.spec.pad);
-    h.pod(static_cast<int>(l.relu));
-    h.pod(static_cast<int>(l.pool));
-    h.pod(l.filters.cout);
-    h.pod(l.filters.cin);
-    h.pod(l.filters.kh);
-    h.pod(l.filters.kw);
-    h.doubles(l.filters.data);
-  }
-  return h.value();
-}
-
-bool CompiledModel::matches(const Model& model) const {
-  if (is_graph_) return false;
-  if (model.name() != name_) return false;
-  const std::vector<ModelLayer>& theirs = model.layers();
-  if (theirs.size() + 1 != nodes_.size()) return false;
-  for (size_t i = 0; i < theirs.size(); ++i) {
-    const GraphNode& a = nodes_[i + 1];  // chain layout: node 0 is the input
-    const ModelLayer& b = theirs[i];
-    if (a.name != b.name || a.spec.stride != b.spec.stride ||
-        a.spec.pad != b.spec.pad || a.relu != b.relu || a.pool != b.pool ||
-        a.filters.cout != b.filters.cout || a.filters.cin != b.filters.cin ||
-        a.filters.kh != b.filters.kh || a.filters.kw != b.filters.kw ||
-        a.filters.data != b.filters.data) {
-      return false;
-    }
-  }
-  // Two from_network models can share name, specs and (seeded) weights yet
-  // wrap different shape tables / tensor statistics -- which is exactly
-  // what estimate() consumes.  Compare the wrapped table (in place, no
-  // copy) against the one baked at compile time.  For from_layers models
-  // the table is derived from the layers just compared, so equality
-  // already holds and the comparison is skipped.
-  const Network* wrapped = model.wrapped_network();
-  if ((wrapped != nullptr) != table_backed_) return false;
-  return wrapped == nullptr || *wrapped == shape_net_;
-}
-
 bool CompiledModel::matches(const GraphModel& model) const {
-  if (!is_graph_) return false;
   if (model.name() != name_) return false;
   if (!model.has_weights()) return false;  // compiled graphs carry weights
   // Tensor statistics feed the shape table estimate() consumes: two graphs
   // with identical nodes but different stats must not share a plan.
-  if (!(model.tensor_stats() == graph_stats_)) return false;
+  if (!(model.tensor_stats() == shape_net_.tensor_stats)) return false;
   return model.nodes() == nodes_;
 }
 
@@ -97,12 +49,20 @@ TileConfig composed_tile_for(const RunSpec& spec, const TileConfig& geometry) {
   return t;
 }
 
-CompiledModel CompiledModel::compile_nodes(std::vector<GraphNode> nodes,
-                                           const RunSpec& spec,
-                                           const CompileOptions& opts) {
+CompiledModel CompiledModel::compile(const GraphModel& model,
+                                     const RunSpec& spec,
+                                     const CompileOptions& opts) {
+  check_compile_dims(opts);
+  if (!model.has_weights()) {
+    throw std::invalid_argument(
+        "CompiledModel::compile: graph '" + model.name() +
+        "' carries no weights -- shape-only graphs are estimate-only; call "
+        "materialize_weights() first");
+  }
   CompiledModel cm;
   cm.spec_ = spec;
-  cm.nodes_ = std::move(nodes);
+  cm.name_ = model.name();
+  cm.nodes_ = model.nodes();
   // Full topology validation -- acyclicity, single input/output, channel
   // agreement into convs, shape agreement at joins, collapsing geometry --
   // plus the deterministic execution order and wave structure.
@@ -168,65 +128,7 @@ CompiledModel CompiledModel::compile_nodes(std::vector<GraphNode> nodes,
                                    cl.int_digits, pool);
     }
   }
-  return cm;
-}
-
-CompiledModel CompiledModel::compile(const Model& model, const RunSpec& spec,
-                                     const CompileOptions& opts) {
-  check_compile_dims(opts);
-  if (!model.has_weights()) {
-    throw std::invalid_argument(
-        "CompiledModel::compile: model '" + model.name() +
-        "' carries no weights -- shape-table models are estimate-only; build "
-        "with Model::from_layers or call materialize_weights()");
-  }
-
-  // A chain is the degenerate graph: one input node, every layer a conv
-  // node consuming the previous one.  The execution core only knows graphs.
-  std::vector<GraphNode> nodes;
-  nodes.reserve(model.layers().size() + 1);
-  GraphNode in;
-  in.op = GraphNode::Op::kInput;
-  in.name = "input";
-  nodes.push_back(std::move(in));
-  for (size_t i = 0; i < model.layers().size(); ++i) {
-    const ModelLayer& l = model.layers()[i];
-    GraphNode nd;
-    nd.op = GraphNode::Op::kConv;
-    nd.name = l.name;
-    nd.inputs = {static_cast<int>(i)};
-    nd.filters = l.filters;
-    nd.spec = l.spec;
-    nd.relu = l.relu;
-    nd.pool = l.pool;
-    nodes.push_back(std::move(nd));
-  }
-
-  CompiledModel cm = compile_nodes(std::move(nodes), spec, opts);
-  cm.is_graph_ = false;
-  cm.name_ = model.name();
   cm.shape_net_ = model.shape_table(opts.input_h, opts.input_w);
-  cm.table_backed_ = model.is_shape_table_backed();
-  cm.fingerprint_ = model_fingerprint(model);
-  return cm;
-}
-
-CompiledModel CompiledModel::compile(const GraphModel& model,
-                                     const RunSpec& spec,
-                                     const CompileOptions& opts) {
-  check_compile_dims(opts);
-  if (!model.has_weights()) {
-    throw std::invalid_argument(
-        "CompiledModel::compile: graph '" + model.name() +
-        "' carries no weights -- shape-only graphs are estimate-only; call "
-        "materialize_weights() first");
-  }
-  CompiledModel cm = compile_nodes(model.nodes(), spec, opts);
-  cm.is_graph_ = true;
-  cm.name_ = model.name();
-  cm.graph_stats_ = model.tensor_stats();
-  cm.shape_net_ = model.shape_table(opts.input_h, opts.input_w);
-  cm.table_backed_ = false;
   cm.fingerprint_ = graph_fingerprint(model);
   return cm;
 }

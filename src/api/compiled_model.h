@@ -18,14 +18,14 @@
 //     output geometry, graph topology) happens at compile time, before
 //     anything executes.
 //
-// Since the graph extension (api/graph_model.h) the execution core is a
-// DAG: a chain Model compiles into the degenerate one-node-per-level graph,
-// a GraphModel into its topological order.  Nodes run one after another in
-// that order, each on the caller's whole pool: the conv executor splits a
-// node over (pixel, output channel), so a 1x1 output map or one branch of
-// a ResNet/Inception fan-out keeps every slot busy.  Outputs AND per-node
-// stats are bit-identical for 1 and N pool threads (stats are sums over a
-// fixed op partition; every output element is computed exactly once).
+// The execution core is a DAG (api/graph_model.h): a GraphModel compiles
+// into its topological order -- a layer chain being the degenerate graph.
+// Nodes run one after another in that order, each on the caller's whole
+// pool: the conv executor splits a node over (pixel, output channel), so a
+// 1x1 output map or one branch of a ResNet/Inception fan-out keeps every
+// slot busy.  Outputs AND per-node stats are bit-identical for 1 and N pool
+// threads (stats are sums over a fixed op partition; every output element
+// is computed exactly once).
 //
 // run()/run_batch() are REENTRANT: every call builds its own scratch
 // (thread pool, per-slot datapaths, staged activation planes, stats) and
@@ -34,10 +34,10 @@
 // RunReport whose outputs, stats and cycles are byte-identical to what
 // Session::run produces for the same spec/model/input.  Stats are per-call
 // by construction.  This is the only code that runs a convolution on the
-// datapath: a single conv is a one-layer Model.
+// datapath: a single conv is a one-conv graph.
 //
-// Session::run is reimplemented on top of this (compile-on-first-use with
-// an exact-match model cache), so existing callers keep working unchanged.
+// Session::run and ServingRuntime::load sit on top of this through one
+// exact-match plan cache (api/plan_cache.h).
 #pragma once
 
 #include <cstdint>
@@ -69,14 +69,9 @@ class CompiledModel {
   /// Resolve, validate and bake `model` for `spec` at the given input
   /// geometry.  Throws std::invalid_argument on a weightless model, a
   /// policy asking for INT on a datapath that does not support it, missing
-  /// input dims, or a layer chain whose output collapses to nothing.
-  [[nodiscard]] static CompiledModel compile(const Model& model,
-                                             const RunSpec& spec,
-                                             const CompileOptions& opts);
-
-  /// Graph counterpart: additionally validates the full topology
-  /// (acyclicity, single input/output, join shape agreement) via
-  /// analyze_graph before anything is baked.
+  /// input dims, or any topology analyze_graph rejects (a cycle, a join
+  /// shape mismatch, geometry that collapses to nothing) -- before anything
+  /// is baked.
   [[nodiscard]] static CompiledModel compile(const GraphModel& model,
                                              const RunSpec& spec,
                                              const CompileOptions& opts);
@@ -102,9 +97,8 @@ class CompiledModel {
                            const RunOptions& opts, ThreadPool& pool) const;
 
   /// Cycle-sim estimate of the compiled shape table on spec().tile with
-  /// spec().datapath plugged in (what RunOptions.with_estimate attaches).
-  /// For graph models the table is the graph's conv rows in execution
-  /// order (GraphModel::shape_table).
+  /// spec().datapath plugged in (what RunOptions.with_estimate attaches):
+  /// the graph's conv rows in execution order (GraphModel::shape_table).
   NetworkSimResult estimate() const;
 
   const std::string& model_name() const { return name_; }
@@ -118,26 +112,22 @@ class CompiledModel {
   /// request is shed as a typed value before it can reach (and poison) a
   /// batch.
   [[nodiscard]] std::string input_geometry_mismatch(const Tensor& input) const;
-  /// Executable nodes: conv layers plus (for graphs) add/concat joins.
+  /// Executable nodes: conv layers plus add/concat joins.
   size_t layer_count() const { return topo_.order.size() - 1; }
-  /// True when compiled from a GraphModel (matches(Model) is then always
-  /// false, and vice versa).
-  bool is_graph() const { return is_graph_; }
   /// The compile-time-resolved precision of each conv node in execution
   /// order (frozen: no API re-resolves these after compile).
   const std::vector<LayerPrecision>& layer_precisions() const {
     return precisions_;
   }
   /// Content fingerprint of the model this plan was compiled from
-  /// (model_fingerprint / graph_fingerprint of name, topology, specs,
-  /// post-ops and weight bytes).
+  /// (graph_fingerprint of name, topology, specs, post-ops and weight
+  /// bytes).
   uint64_t fingerprint() const { return fingerprint_; }
-  /// Exact equality of `model` with the compiled weights/specs AND shape
-  /// table (what estimate() consumes) -- the sole lookup predicate of
-  /// Session's compile-on-first-use cache.  Field checks (name, dims,
-  /// specs) reject mismatches before any weight bytes are compared.
-  bool matches(const Model& model) const;
-  /// Same for graphs: exact node-list + tensor-statistics equality.
+  /// Exact equality of `model` with the compiled nodes (weights, specs,
+  /// post-ops) AND tensor statistics (what estimate() consumes) -- the
+  /// lookup predicate of the plan cache (api/plan_cache.h).  Field checks
+  /// (name, stats, node shapes) reject mismatches before any weight bytes
+  /// are compared.
   bool matches(const GraphModel& model) const;
 
  private:
@@ -167,9 +157,6 @@ class CompiledModel {
         entries MPIPU_GUARDED_BY(mu);
   };
 
-  static CompiledModel compile_nodes(std::vector<GraphNode> nodes,
-                                     const RunSpec& spec,
-                                     const CompileOptions& opts);
   /// run() with caller-provided per-slot datapath scratch.  run_batch
   /// builds the units once and reuses them across the whole batch (exact:
   /// per-node stats are before/after deltas over the units).
@@ -191,25 +178,16 @@ class CompiledModel {
   RunSpec spec_;
   std::string name_;
   int in_c_ = 0, in_h_ = 0, in_w_ = 0;
-  bool is_graph_ = false;
-  /// Source nodes (weights kept for the reference chain and matches());
-  /// chain models are stored as their degenerate graph.
+  /// Source nodes (weights kept for the reference chain and matches()).
   std::vector<GraphNode> nodes_;
   GraphTopology topo_;
   std::vector<LayerPrecision> precisions_;  ///< conv nodes, execution order
   std::vector<CompiledNode> compiled_;      ///< indexed by node id
-  LayerTensorStats graph_stats_;  ///< graph source: stats baked into shape_net_
-  Network shape_net_;  ///< shape table at the compiled input dims
-  bool table_backed_ = false;  ///< source model was from_network
+  /// Shape table at the compiled input dims; its tensor_stats are the
+  /// source graph's.
+  Network shape_net_;
   uint64_t fingerprint_ = 0;
   std::shared_ptr<RefCache> ref_cache_;
 };
-
-/// Order-sensitive content hash of a model's name, layer specs, post-ops
-/// and weight bytes -- a stable identity for logging / plan registries
-/// (what CompiledModel::fingerprint reports).  NOTE: it deliberately skips
-/// the wrapped shape table's tensor statistics; CompiledModel::matches is
-/// the exact-equality authority.
-uint64_t model_fingerprint(const Model& model);
 
 }  // namespace mpipu

@@ -15,7 +15,7 @@ std::string node_label(const GraphNode& n) {
   return std::string(graph_op_name(n.op)) + " node '" + n.name + "'";
 }
 
-/// Post-op geometry shared with Model::shape_table / CompiledModel.
+/// Post-op geometry: what apply_post_ops does to an activation's dims.
 void apply_pool_dims(PoolOp pool, int& h, int& w) {
   switch (pool) {
     case PoolOp::kNone: break;
@@ -415,19 +415,18 @@ size_t GraphModel::conv_count() const {
 }
 
 void GraphModel::materialize_weights(uint64_t seed) {
+  if (shape_only_ids_.empty()) {
+    throw std::invalid_argument(
+        "GraphModel::materialize_weights: graph '" + name_ +
+        "' has no conv_shape() node -- every conv already carries the "
+        "weights it was built with");
+  }
+  // Real weights handed to Builder::conv() are never overwritten: only
+  // conv_shape() nodes are filled.  shape_only_ids_ is ascending, so the
+  // draw order equals the node order and stays deterministic.
   Rng rng(seed);
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    GraphNode& nd = nodes_[i];
-    if (nd.op != GraphNode::Op::kConv) continue;
-    // Real weights handed to Builder::conv() are never overwritten: only
-    // conv_shape() nodes (or, on a from_nodes graph, every conv node) are
-    // filled.  shape_only_ids_ is ascending, so the draw order equals the
-    // node order and stays deterministic.
-    if (!shape_only_ids_.empty() &&
-        std::find(shape_only_ids_.begin(), shape_only_ids_.end(),
-                  static_cast<int>(i)) == shape_only_ids_.end()) {
-      continue;
-    }
+  for (int id : shape_only_ids_) {
+    GraphNode& nd = nodes_[static_cast<size_t>(id)];
     nd.filters = random_filters(rng, nd.filters.cout, nd.filters.cin,
                                 nd.filters.kh, nd.filters.kw,
                                 tensor_stats_.weight_dist,
@@ -453,8 +452,8 @@ Network GraphModel::shape_table(int input_h, int input_w) const {
     l.kh = nd.filters.kh;
     l.kw = nd.filters.kw;
     l.stride = nd.spec.stride;
-    // Rows record the *conv* output (pre-pool), exactly like
-    // Model::shape_table and the hand-built tables in workload/networks.h.
+    // Rows record the *conv* output (pre-pool), exactly like the
+    // hand-built tables in workload/networks.h.
     l.hout = nd.spec.out_dim(topo.out_h[static_cast<size_t>(p)], nd.filters.kh);
     l.wout = nd.spec.out_dim(topo.out_w[static_cast<size_t>(p)], nd.filters.kw);
     net.layers.push_back(std::move(l));
@@ -503,8 +502,6 @@ std::vector<Tensor> graph_reference_outputs(const std::vector<GraphNode>& nodes,
 }
 
 uint64_t graph_fingerprint(const GraphModel& model) {
-  // Same scheme as model_fingerprint; lives here so the hash sees GraphNode
-  // internals.
   Fnv1a h;
   h.str(model.name());
   h.pod(static_cast<uint64_t>(model.nodes().size()));

@@ -4,8 +4,8 @@
 // InceptionV3 -- networks whose defining feature is that they are NOT layer
 // chains: ResNet merges a skip path into the trunk with an elementwise ADD,
 // Inception fans a tensor out over parallel branches and merges them with a
-// channel CONCAT.  `Model` (api/model.h) covers the chain case; GraphModel
-// covers the real shapes: a DAG whose nodes are
+// channel CONCAT.  GraphModel is the repo's one model type: a DAG (a layer
+// chain is the degenerate graph, one conv per Builder call) whose nodes are
 //
 //   * kInput  -- the single graph input (exactly one per graph);
 //   * kConv   -- a convolution layer (FilterBank + ConvSpec + post-ops),
@@ -92,7 +92,7 @@ class GraphModel {
   /// predecessors must already exist (acyclic by construction; compile
   /// re-validates everything regardless).  conv() takes real weights;
   /// conv_shape() records dimensions only -- the graph is then estimate-only
-  /// until materialize_weights() fills them (mirroring Model::from_network).
+  /// until materialize_weights() fills them.
   class Builder {
    public:
     explicit Builder(std::string model_name);
@@ -138,8 +138,10 @@ class GraphModel {
   /// statistics in node-list order (deterministic for a given seed).  Only
   /// conv_shape() nodes are filled -- real weights passed to
   /// Builder::conv() are never overwritten (a mixed trained/shape-only
-  /// builder keeps its trained filters).  On a from_nodes graph every conv
-  /// node is filled.  Shape-only builders require this before run/compile.
+  /// builder keeps its trained filters).  Throws std::invalid_argument on a
+  /// graph with no conv_shape() node (every from_nodes graph included):
+  /// there is nothing to fill.  Shape-only builders require this before
+  /// run/compile.
   void materialize_weights(uint64_t seed);
 
   /// Equivalent shape table for the cycle-sim path: one ConvLayer row per
@@ -154,9 +156,8 @@ class GraphModel {
   std::string name_;
   std::vector<GraphNode> nodes_;
   LayerTensorStats tensor_stats_;
-  /// Builder conv_shape() nodes: the only ones materialize_weights fills
-  /// (empty = from_nodes graph, where it fills every conv node).  Not part
-  /// of equality/fingerprints -- ephemeral build state.
+  /// Builder conv_shape() nodes: the only ones materialize_weights fills.
+  /// Not part of equality/fingerprints -- ephemeral build state.
   std::vector<int> shape_only_ids_;
   bool has_weights_ = true;
 };
@@ -176,9 +177,9 @@ std::vector<Tensor> graph_reference_outputs(const std::vector<GraphNode>& nodes,
                                             ThreadPool& pool);
 
 /// Order-sensitive content hash of a graph's name, topology, specs,
-/// post-ops and weight bytes -- the graph counterpart of model_fingerprint
-/// (api/compiled_model.h).  NOTE: like model_fingerprint it deliberately
-/// skips the tensor statistics; CompiledModel::matches is the
+/// post-ops and weight bytes -- a stable identity for logging and plan
+/// registries (what CompiledModel::fingerprint reports).  NOTE: it
+/// deliberately skips the tensor statistics; CompiledModel::matches is the
 /// exact-equality authority (and does compare them).
 uint64_t graph_fingerprint(const GraphModel& model);
 

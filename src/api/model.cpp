@@ -1,7 +1,6 @@
 #include "api/model.h"
 
-#include <stdexcept>
-#include <utility>
+#include "nn/conv.h"
 
 namespace mpipu {
 namespace {
@@ -28,131 +27,6 @@ Tensor apply_post_ops(Tensor t, bool relu_first, PoolOp pool) {
     case PoolOp::kGlobalAvg: t = global_avg_pool(t); break;
   }
   return t;
-}
-
-Tensor apply_post_ops(Tensor t, const ModelLayer& l) {
-  return apply_post_ops(std::move(t), l.relu, l.pool);
-}
-
-Tensor reference_layer(const Tensor& input, const ModelLayer& l) {
-  return apply_post_ops(conv_reference(input, l.filters, l.spec), l);
-}
-
-Model Model::from_layers(std::string name, std::vector<ModelLayer> layers) {
-  if (layers.empty()) {
-    throw std::invalid_argument("Model::from_layers: layer list is empty");
-  }
-  for (size_t i = 1; i < layers.size(); ++i) {
-    if (layers[i].filters.cin != layers[i - 1].filters.cout) {
-      throw std::invalid_argument(
-          "Model::from_layers: layer '" + layers[i].name + "' expects " +
-          std::to_string(layers[i].filters.cin) + " input channels but '" +
-          layers[i - 1].name + "' produces " +
-          std::to_string(layers[i - 1].filters.cout));
-    }
-  }
-  Model m;
-  m.name_ = std::move(name);
-  m.layers_ = std::move(layers);
-  return m;
-}
-
-Model Model::from_network(Network net) {
-  Model m;
-  m.name_ = net.name;
-  m.shape_net_ = std::move(net);
-  return m;
-}
-
-void Model::materialize_weights(uint64_t seed) {
-  if (!shape_net_.has_value()) {
-    throw std::invalid_argument(
-        "Model::materialize_weights: model '" + name_ +
-        "' was not built from a shape table");
-  }
-  const Network& net = *shape_net_;
-  for (size_t i = 0; i < net.layers.size(); ++i) {
-    const ConvLayer& l = net.layers[i];
-    if (l.repeat != 1) {
-      throw std::invalid_argument(
-          "Model::materialize_weights: layer '" + l.name +
-          "' collapses repeat=" + std::to_string(l.repeat) +
-          " instances; only repeat-free chains can be materialized");
-    }
-    if (i > 0 && l.cin != net.layers[i - 1].cout) {
-      throw std::invalid_argument(
-          "Model::materialize_weights: table is not a sequential chain ('" +
-          l.name + "' takes " + std::to_string(l.cin) + " channels, '" +
-          net.layers[i - 1].name + "' produces " +
-          std::to_string(net.layers[i - 1].cout) + ")");
-    }
-    // Tables record no padding; weights get "same"-style pad = (k-1)/2.
-    // Reject rows whose recorded shapes do not chain under that pad, so
-    // run() (which uses the pad) and estimate() (which uses the recorded
-    // shapes) cannot silently disagree on layer geometry.
-    if (i > 0) {
-      ConvSpec s;
-      s.stride = l.stride;
-      s.pad = (l.kh - 1) / 2;
-      const ConvLayer& prev = net.layers[i - 1];
-      if (s.out_dim(prev.hout, l.kh) != l.hout ||
-          s.out_dim(prev.wout, l.kw) != l.wout) {
-        throw std::invalid_argument(
-            "Model::materialize_weights: layer '" + l.name + "' records " +
-            std::to_string(l.hout) + "x" + std::to_string(l.wout) +
-            " outputs, which same-padded conv from '" + prev.name +
-            "' cannot reproduce -- the numeric and cycle-sim paths would "
-            "diverge; materialize only supports same-padded chains");
-      }
-    }
-  }
-  Rng rng(seed);
-  layers_.clear();
-  layers_.reserve(net.layers.size());
-  for (const ConvLayer& l : net.layers) {
-    ModelLayer ml;
-    ml.name = l.name;
-    ml.filters = random_filters(rng, l.cout, l.cin, l.kh, l.kw,
-                                net.tensor_stats.weight_dist,
-                                net.tensor_stats.weight_scale)
-                     .rounded_to_fp16();
-    ml.spec.stride = l.stride;
-    ml.spec.pad = (l.kh - 1) / 2;  // "same"-style pad; tables record none
-    layers_.push_back(std::move(ml));
-  }
-}
-
-Network Model::shape_table(int input_h, int input_w) const {
-  if (shape_net_.has_value()) return *shape_net_;
-  if (input_h <= 0 || input_w <= 0) {
-    throw std::invalid_argument(
-        "Model::shape_table: model '" + name_ +
-        "' is an ad-hoc layer chain; pass the input spatial dims");
-  }
-  Network net;
-  net.name = name_;
-  net.tensor_stats = forward_stats();
-  int h = input_h, w = input_w;
-  for (const ModelLayer& ml : layers_) {
-    ConvLayer l;
-    l.name = ml.name;
-    l.cin = ml.filters.cin;
-    l.cout = ml.filters.cout;
-    l.kh = ml.filters.kh;
-    l.kw = ml.filters.kw;
-    l.stride = ml.spec.stride;
-    l.hout = ml.spec.out_dim(h, ml.filters.kh);
-    l.wout = ml.spec.out_dim(w, ml.filters.kw);
-    net.layers.push_back(l);
-    h = l.hout;
-    w = l.wout;
-    switch (ml.pool) {
-      case PoolOp::kNone: break;
-      case PoolOp::kMax2: h /= 2; w /= 2; break;
-      case PoolOp::kGlobalAvg: h = 1; w = 1; break;
-    }
-  }
-  return net;
 }
 
 }  // namespace mpipu

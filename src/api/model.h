@@ -1,96 +1,20 @@
-// Model: the network a Session runs or estimates -- paper §4.1 evaluates at
-// *network* granularity (accuracy and cycles of whole forward paths), so the
-// high-level API takes a whole network too, built either
-//
-//   * from an ad-hoc layer list carrying real weight tensors
-//     (Model::from_layers) -- the numeric path: Session::run executes it
-//     layer by layer on the bit-accurate datapath; or
-//   * from a `Network` shape table (Model::from_network, e.g.
-//     resnet18_forward()) -- the analytical path: Session::estimate costs it
-//     on the cycle simulator.  Shape tables collapse repeated blocks and
-//     carry no weights, so run() rejects them unless weights are
-//     materialized onto a sequentially consistent table.
+// Post-ops shared by every forward path: the pooling enum a GraphNode
+// carries and the one function that applies ReLU-then-pool to a node's
+// output.  Models themselves are GraphModels (api/graph_model.h); a layer
+// chain is the degenerate graph GraphModel::Builder builds one conv at a
+// time.
 #pragma once
 
-#include <optional>
-#include <string>
-#include <vector>
-
-#include "nn/conv.h"
 #include "nn/tensor.h"
-#include "workload/networks.h"
 
 namespace mpipu {
 
-/// Pooling applied after the (optional) ReLU of a layer.
+/// Pooling applied after the (optional) ReLU of a node.
 enum class PoolOp { kNone, kMax2, kGlobalAvg };
 
-/// One convolution layer of a numeric model: weights plus the post-ops the
-/// forward pass applies to its output (ReLU first, then pooling).
-struct ModelLayer {
-  std::string name;
-  FilterBank filters;
-  ConvSpec spec;
-  bool relu = false;
-  PoolOp pool = PoolOp::kNone;
-};
-
-class Model {
- public:
-  /// Build from an explicit layer chain.  Validates channel chaining
-  /// (layer[i+1].cin == layer[i].cout); throws std::invalid_argument on an
-  /// empty list or a break in the chain.
-  static Model from_layers(std::string name, std::vector<ModelLayer> layers);
-
-  /// Wrap a shape table (workload/networks.h).  The model is estimate-only
-  /// until materialize_weights() succeeds.
-  static Model from_network(Network net);
-
-  const std::string& name() const { return name_; }
-  const std::vector<ModelLayer>& layers() const { return layers_; }
-  bool has_weights() const { return !layers_.empty(); }
-  /// True for from_network models: shape_table() returns the wrapped table
-  /// (with its own tensor statistics) rather than deriving one from the
-  /// layer chain.
-  bool is_shape_table_backed() const { return shape_net_.has_value(); }
-  /// The wrapped shape table of a from_network model, or nullptr for
-  /// from_layers models (allocation-free peek; shape_table() copies).
-  const Network* wrapped_network() const {
-    return shape_net_.has_value() ? &*shape_net_ : nullptr;
-  }
-
-  /// Fill random FP16-rounded weights for every row of a wrapped shape
-  /// table, drawn from the network's weight distribution.  Requires the
-  /// table to be a sequentially consistent chain (each row's cin equals the
-  /// previous row's cout and repeat == 1); throws std::invalid_argument
-  /// otherwise.  Branchy topologies (resnet18_forward()-style residual /
-  /// concat structure) are no longer out of reach -- build them as a
-  /// GraphModel (api/graph_model.h, e.g. workload/graph_builders.h) and
-  /// call GraphModel::materialize_weights instead.
-  void materialize_weights(uint64_t seed);
-
-  /// Shape table for the cycle-sim path: the wrapped Network for
-  /// from_network models (input dims ignored); derived by walking the layer
-  /// chain from (input_h, input_w) for from_layers models.
-  Network shape_table(int input_h = 0, int input_w = 0) const;
-
- private:
-  std::string name_;
-  std::vector<ModelLayer> layers_;
-  std::optional<Network> shape_net_;
-};
-
 /// Post-ops applied to a node's output: ReLU first, then pooling.  The
-/// single definition every forward path shares (Session, CompiledModel,
-/// graph nodes, the reference chain).
+/// single definition every forward path shares (CompiledModel, the graph
+/// reference chain).
 Tensor apply_post_ops(Tensor t, bool relu, PoolOp pool);
-Tensor apply_post_ops(Tensor t, const ModelLayer& l);
-
-/// One step of the exact FP32 reference chain: host-double convolution of
-/// `input` with the layer's filters, then the layer's post-ops.  Chaining
-/// this over a model's layers is *the* reference forward pass -- shared by
-/// Session::run's per-layer comparison, Session::reference and
-/// CompiledModel's cached chain, so the three can never drift.
-Tensor reference_layer(const Tensor& input, const ModelLayer& l);
 
 }  // namespace mpipu

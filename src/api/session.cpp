@@ -1,6 +1,5 @@
 #include "api/session.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -9,82 +8,19 @@ namespace mpipu {
 
 namespace {
 /// Distinct (model, input geometry) plans kept per Session.  Conversational
-/// sessions touch one or two models; sweeps re-running one model hit entry
-/// 0 forever.  Bounded so a session streaming many throwaway models cannot
-/// hoard packed planes.
-constexpr size_t kMaxCompiledCacheEntries = 8;
-
-/// Reject an input whose channel count differs from what the model's first
-/// conv(s) read -- before any conv touches it (conv_reference only asserts
-/// the shape, so a wider input would read past the filter bank).
-void require_input_channels(const char* caller, const Tensor& input,
-                            int expected, const std::string& consumer) {
-  if (input.c != expected) {
-    throw std::invalid_argument(std::string(caller) + ": input has " +
-                                std::to_string(input.c) + " channels but " +
-                                consumer + " expects " +
-                                std::to_string(expected));
-  }
-}
-
-/// The first layer of a weighted chain model, as require_input_channels'
-/// consumer.
-std::string first_layer_label(const Model& model) {
-  return "layer '" + model.layers().front().name + "'";
-}
+/// sessions touch one or two models; sweeps re-running one model hit one
+/// entry forever.  Bounded so a session streaming many throwaway models
+/// cannot hoard packed planes.
+constexpr size_t kMaxCachedPlans = 8;
 }  // namespace
 
-Session::Session(RunSpec spec) : spec_(std::move(spec)), pool_(spec_.threads) {}
-
-CompiledModel Session::compile(const Model& model,
-                               const CompileOptions& opts) const {
-  return CompiledModel::compile(model, spec_, opts);
-}
+Session::Session(RunSpec spec)
+    : spec_(std::move(spec)), pool_(spec_.threads),
+      plans_(spec_, kMaxCachedPlans) {}
 
 CompiledModel Session::compile(const GraphModel& model,
                                const CompileOptions& opts) const {
   return CompiledModel::compile(model, spec_, opts);
-}
-
-template <typename ModelT>
-std::shared_ptr<const CompiledModel> Session::compiled_for(const ModelT& model,
-                                                           int input_h,
-                                                           int input_w) {
-  // Exact-match lookup via matches(): its field comparisons (name, layer
-  // shapes, specs) reject non-matching entries before any weight bytes are
-  // touched, and a hit costs one memcmp-grade weight pass -- cheaper than
-  // hashing the weights up front on every run.  The whole
-  // lookup/rotate/compile/evict sequence holds cache_mu_ so concurrent
-  // first-use runs race safely (the loser re-finds the winner's entry); the
-  // returned shared_ptr keeps the plan alive even if another thread evicts
-  // it before the caller finishes executing.
-  MutexLock lock(cache_mu_);
-  for (size_t i = 0; i < compiled_cache_.size(); ++i) {
-    const CacheEntry& e = compiled_cache_[i];
-    if (e.compiled->input_h() == input_h && e.compiled->input_w() == input_w &&
-        e.compiled->matches(model)) {
-      // LRU: refresh recency so a hot model survives transient ones
-      // streaming through (eviction takes the front).
-      if (i + 1 != compiled_cache_.size()) {
-        std::rotate(compiled_cache_.begin() + static_cast<ptrdiff_t>(i),
-                    compiled_cache_.begin() + static_cast<ptrdiff_t>(i) + 1,
-                    compiled_cache_.end());
-      }
-      return compiled_cache_.back().compiled;
-    }
-  }
-  CompileOptions opts;
-  opts.input_h = input_h;
-  opts.input_w = input_w;
-  // Compile before evicting: a throwing compile (bad policy, collapsing
-  // geometry) must not cost an unrelated cached plan.
-  auto compiled = std::make_shared<const CompiledModel>(
-      CompiledModel::compile(model, spec_, opts));
-  if (compiled_cache_.size() >= kMaxCompiledCacheEntries) {
-    compiled_cache_.erase(compiled_cache_.begin());
-  }
-  compiled_cache_.push_back({std::move(compiled)});
-  return compiled_cache_.back().compiled;
 }
 
 RunReport Session::run_compiled(const CompiledModel& compiled,
@@ -101,20 +37,6 @@ RunReport Session::run_compiled(const CompiledModel& compiled,
   return compiled.run(input, opts);
 }
 
-RunReport Session::run(const Model& model, const Tensor& input,
-                       const RunOptions& opts) {
-  if (!model.has_weights()) {
-    throw std::invalid_argument(
-        "Session::run: model '" + model.name() +
-        "' carries no weights -- shape-table models are estimate-only; build "
-        "with Model::from_layers or call materialize_weights()");
-  }
-  require_input_channels("Session::run", input,
-                         model.layers().front().filters.cin,
-                         first_layer_label(model));
-  return run_compiled(*compiled_for(model, input.h, input.w), input, opts);
-}
-
 RunReport Session::run(const GraphModel& model, const Tensor& input,
                        const RunOptions& opts) {
   if (!model.has_weights()) {
@@ -123,26 +45,33 @@ RunReport Session::run(const GraphModel& model, const Tensor& input,
         "' carries no weights -- shape-only graphs are estimate-only; call "
         "materialize_weights() first");
   }
-  return run_compiled(*compiled_for(model, input.h, input.w), input, opts);
+  // The shared_ptr in the returned entry keeps the plan alive for this run
+  // even if another thread evicts it meanwhile.
+  return run_compiled(*plans_.get(model, input.h, input.w).plan, input, opts);
 }
 
-Tensor Session::reference(const Model& model, const Tensor& input) {
+Tensor Session::reference(const GraphModel& model, const Tensor& input) {
   if (!model.has_weights()) {
     throw std::invalid_argument(
-        "Session::reference: model '" + model.name() + "' carries no weights");
+        "Session::reference: graph '" + model.name() + "' carries no weights");
   }
-  require_input_channels("Session::reference", input,
-                         model.layers().front().filters.cin,
-                         first_layer_label(model));
-  Tensor ref = input;
-  for (const ModelLayer& l : model.layers()) ref = reference_layer(ref, l);
-  return ref;
+  const GraphTopology topo = analyze_graph(model.nodes(), input.h, input.w);
+  // Reject an input whose channel count differs from what the graph's
+  // first conv(s) read -- before any conv touches it.
+  if (input.c != topo.input_c) {
+    throw std::invalid_argument(
+        "Session::reference: input has " + std::to_string(input.c) +
+        " channels but graph '" + model.name() + "' expects " +
+        std::to_string(topo.input_c));
+  }
+  std::vector<Tensor> refs =
+      graph_reference_outputs(model.nodes(), topo, input);
+  return std::move(refs[static_cast<size_t>(topo.output_node)]);
 }
 
-template <typename ModelT>
-BatchRunReport Session::run_batch_impl(const ModelT& model,
-                                       const std::vector<Tensor>& inputs,
-                                       const RunOptions& opts) {
+BatchRunReport Session::run_batch(const GraphModel& model,
+                                  const std::vector<Tensor>& inputs,
+                                  const RunOptions& opts) {
   // The estimate depends only on (model, input dims, spec): compute it once
   // per distinct input shape instead of once per input.
   RunOptions per_run = opts;
@@ -173,31 +102,6 @@ BatchRunReport Session::run_batch_impl(const ModelT& model,
   return batch;
 }
 
-Tensor Session::reference(const GraphModel& model, const Tensor& input) {
-  if (!model.has_weights()) {
-    throw std::invalid_argument(
-        "Session::reference: graph '" + model.name() + "' carries no weights");
-  }
-  const GraphTopology topo = analyze_graph(model.nodes(), input.h, input.w);
-  require_input_channels("Session::reference", input, topo.input_c,
-                         "graph '" + model.name() + "'");
-  std::vector<Tensor> refs =
-      graph_reference_outputs(model.nodes(), topo, input);
-  return std::move(refs[static_cast<size_t>(topo.output_node)]);
-}
-
-BatchRunReport Session::run_batch(const Model& model,
-                                  const std::vector<Tensor>& inputs,
-                                  const RunOptions& opts) {
-  return run_batch_impl(model, inputs, opts);
-}
-
-BatchRunReport Session::run_batch(const GraphModel& model,
-                                  const std::vector<Tensor>& inputs,
-                                  const RunOptions& opts) {
-  return run_batch_impl(model, inputs, opts);
-}
-
 NetworkSimResult Session::estimate(const GraphModel& model, int input_h,
                                    int input_w) const {
   return estimate(model.shape_table(input_h, input_w));
@@ -205,18 +109,6 @@ NetworkSimResult Session::estimate(const GraphModel& model, int input_h,
 
 NetworkSimResult Session::estimate(const Network& net) const {
   return simulate_network(net, composed_tile_for(spec_, spec_.tile), spec_.sim,
-                          spec_.partition);
-}
-
-NetworkSimResult Session::estimate(const Model& model, int input_h,
-                                   int input_w) const {
-  return estimate(model.shape_table(input_h, input_w));
-}
-
-NetworkSimResult Session::estimate(const Model& model, const TileConfig& tile,
-                                   int input_h, int input_w) const {
-  return simulate_network(model.shape_table(input_h, input_w),
-                          composed_tile_for(spec_, tile), spec_.sim,
                           spec_.partition);
 }
 

@@ -2,24 +2,23 @@
 // {datapath, tile, policy, threads} drives BOTH evaluation paths the paper
 // uses at network granularity:
 //
-//   * the numeric path -- Session::run / run_batch execute a Model layer by
-//     layer on the bit-accurate datapath (activation tensors threaded
-//     between layers, FP32 reference chain computed alongside), producing a
-//     RunReport that unifies per-layer DatapathStats, error metrics and (on
+//   * the numeric path -- Session::run / run_batch execute a GraphModel
+//     node by node on the bit-accurate datapath (activation tensors threaded
+//     between nodes, FP32 reference chain computed alongside), producing a
+//     RunReport that unifies per-node DatapathStats, error metrics and (on
 //     request) simulated cycles;
-//   * the analytical path -- Session::estimate costs the Model's shape
-//     table on the cycle simulator with the same datapath config plugged
-//     into the tile.
+//   * the analytical path -- Session::estimate costs the model's shape
+//     table (or any Network table) on the cycle simulator with the same
+//     datapath config plugged into the tile.
 //
-// Since the compile/run split (api/compiled_model.h), Session::run is
-// compile-on-first-use sugar: the model is compiled into an immutable
-// CompiledModel on the first run (cached by exact model content --
-// CompiledModel::matches -- and input geometry, so re-runs, sweeps and
-// batches never re-pay the weight pipeline) and executed on the Session's
-// shared ThreadPool.
-// Outputs, stats and cycles are byte-identical to pre-split Session runs.
+// Session::run is compile-on-first-use sugar over CompiledModel
+// (api/compiled_model.h): the model is compiled into an immutable plan on
+// the first run, kept in an exact-match LRU PlanCache (api/plan_cache.h)
+// keyed by model content and input geometry -- so re-runs, sweeps and
+// batches never re-pay the weight pipeline -- and executed on the
+// Session's shared ThreadPool.
 //
-// run()/run_batch() are thread-safe: the compile cache is guarded by a
+// run()/run_batch() are thread-safe: the plan cache is guarded by its own
 // mutex (a shared_ptr pins each plan across LRU eviction), and concurrent
 // runs race for the shared pool -- the loser executes on a private
 // per-call pool of the same width, so outputs stay byte-identical either
@@ -35,7 +34,7 @@
 #include <vector>
 
 #include "api/compiled_model.h"
-#include "api/model.h"
+#include "api/plan_cache.h"
 #include "api/run_report.h"
 #include "api/run_spec.h"
 #include "common/annotated_mutex.h"
@@ -53,91 +52,60 @@ class Session {
   int threads() const { return pool_.size(); }
 
   /// Compile `model` against this session's spec: resolve the policy,
-  /// validate everything, bake the packed filter planes.  The returned
-  /// CompiledModel is self-contained (shares nothing with this Session) and
-  /// safe for concurrent callers.  Throws std::invalid_argument on a
-  /// weightless model, an unsupported INT layer, or missing input dims.
-  [[nodiscard]] CompiledModel compile(const Model& model,
-                                      const CompileOptions& opts) const;
-  /// Graph counterpart (api/graph_model.h): additionally validates the DAG
-  /// topology -- acyclicity, single input/output, channel agreement into
-  /// convs, shape agreement at add/concat joins -- before anything is
-  /// baked.  Independent branches of the compiled graph execute in
-  /// parallel over the running pool.
+  /// validate the DAG topology -- acyclicity, single input/output, channel
+  /// agreement into convs, shape agreement at add/concat joins -- and bake
+  /// the packed filter planes.  The returned CompiledModel is
+  /// self-contained (shares nothing with this Session) and safe for
+  /// concurrent callers; its nodes run one after another, each on the whole
+  /// pool of the call.  Throws std::invalid_argument on a weightless model,
+  /// an unsupported INT layer, an invalid topology or missing input dims.
   [[nodiscard]] CompiledModel compile(const GraphModel& model,
                                       const CompileOptions& opts) const;
 
-  /// Full forward pass of `model` on `input`.  Compile-on-first-use: the
-  /// first call (per model content and input geometry) compiles, later
-  /// calls hit the cache and only execute.  Throws std::invalid_argument --
-  /// before any layer executes -- on a weightless model, an input/model
-  /// channel mismatch, or a policy asking for INT on a datapath that does
-  /// not support it (e.g. the FP-only spatial scheme).
-  RunReport run(const Model& model, const Tensor& input,
-                const RunOptions& opts = {});
-  /// Full forward pass of a DAG-structured model (ResNet skip connections,
-  /// Inception branch/concat blocks) -- same compile-on-first-use caching,
-  /// same per-node RunReport, byte-identical to CompiledModel::run.
+  /// Full forward pass of `model` on `input` (a layer chain, ResNet skip
+  /// connections, Inception branch/concat blocks).  Compile-on-first-use:
+  /// the first call per model content and input geometry compiles, later
+  /// calls hit the cache and only execute; the report is byte-identical to
+  /// CompiledModel::run.  Throws std::invalid_argument -- before any node
+  /// executes -- on a weightless model, an input/model channel mismatch,
+  /// or a policy asking for INT on a datapath that does not support it
+  /// (e.g. the FP-only spatial scheme).
   RunReport run(const GraphModel& model, const Tensor& input,
                 const RunOptions& opts = {});
 
-  /// The exact FP32 reference forward pass of the numeric path (host-double
-  /// conv chain + the model's post-ops) -- what run() compares against when
+  /// The exact FP32 reference forward pass of the numeric path: the
+  /// host-double conv chain mirrored over the DAG (exact joins, the model's
+  /// post-ops) -- what run() compares against when
   /// RunOptions.compare_reference is set.  Exposed so drivers sweeping many
   /// datapath configs over the same inputs can compute it once instead of
   /// once per sweep point.  Throws std::invalid_argument on a weightless
   /// model or an input/model channel mismatch, like run().
-  static Tensor reference(const Model& model, const Tensor& input);
-  /// Graph reference: the exact FP32 chain mirrored over the DAG
-  /// (host-double convs, exact joins) -- graph_reference_outputs' final
-  /// node.
   static Tensor reference(const GraphModel& model, const Tensor& input);
 
   /// Forward passes over a batch of inputs with deterministic stats
   /// reduction (totals are sums of per-run sums).
-  BatchRunReport run_batch(const Model& model,
-                           const std::vector<Tensor>& inputs,
-                           const RunOptions& opts = {});
   BatchRunReport run_batch(const GraphModel& model,
                            const std::vector<Tensor>& inputs,
                            const RunOptions& opts = {});
 
-  /// Cycle-sim estimate of the model's shape table on spec().tile with
-  /// spec().datapath plugged in.  Ad-hoc layer models need the input
-  /// spatial dims to derive their table; shape-table models ignore them.
-  NetworkSimResult estimate(const Model& model, int input_h = 0,
-                            int input_w = 0) const;
-  /// Same, with an explicit tile geometry overriding spec().tile.
-  NetworkSimResult estimate(const Model& model, const TileConfig& tile,
-                            int input_h = 0, int input_w = 0) const;
-  /// Lowest-level overload: estimate an explicit shape table.
+  /// Cycle-sim estimate of an explicit shape table (e.g. a
+  /// workload/networks.h table) on spec().tile with spec().datapath
+  /// plugged in.
   NetworkSimResult estimate(const Network& net) const;
-  /// Graph estimate: the graph's conv rows (GraphModel::shape_table) on the
-  /// cycle simulator -- agrees with estimate(net) for the equivalent table
-  /// by construction.  Graphs always need the input dims.
+  /// Graph estimate: the graph's conv rows (GraphModel::shape_table) at the
+  /// given input dims on the cycle simulator -- agrees with estimate(net)
+  /// for the equivalent table by construction.
   NetworkSimResult estimate(const GraphModel& model, int input_h,
                             int input_w) const;
 
+  /// Plans the compile-on-first-use cache holds (at most 8).
+  size_t cached_plans() const { return plans_.size(); }
+
  private:
-  /// The compile-on-first-use cache behind run(): exact-match lookup
-  /// (CompiledModel::matches -- cheap field checks, then the weight bytes)
-  /// keyed by model content and input geometry, LRU-evicted.  One template
-  /// serves Model and GraphModel; chain and graph entries share the cache
-  /// (matches() never crosses the two).  Guarded by cache_mu_; returns a
-  /// shared_ptr so a concurrent eviction cannot destroy a plan mid-run.
-  template <typename ModelT>
-  std::shared_ptr<const CompiledModel> compiled_for(const ModelT& model,
-                                                    int input_h, int input_w);
   /// Execute on the shared pool when it is free, else on a private
   /// per-call pool of the same width (byte-identical either way).
   RunReport run_compiled(const CompiledModel& compiled, const Tensor& input,
                          const RunOptions& opts);
-  /// Shared body of the two run_batch overloads (defined in session.cpp;
-  /// instantiated only there).
-  template <typename ModelT>
-  BatchRunReport run_batch_impl(const ModelT& model,
-                                const std::vector<Tensor>& inputs,
-                                const RunOptions& opts);
 
   RunSpec spec_;
   ThreadPool pool_;
@@ -146,11 +114,7 @@ class Session {
   /// lock-free, and the capability here serializes parallel_for USE, not
   /// data access.
   Mutex pool_mu_;
-  struct CacheEntry {
-    std::shared_ptr<const CompiledModel> compiled;
-  };
-  Mutex cache_mu_;
-  std::vector<CacheEntry> compiled_cache_ MPIPU_GUARDED_BY(cache_mu_);
+  PlanCache plans_;
 };
 
 }  // namespace mpipu

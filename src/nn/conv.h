@@ -1,7 +1,7 @@
 // Convolution geometry, the exact host-double reference ("FP32 CPU") and
 // the tensor helpers around it.  Convolutions on the datapath run through
 // one path only: a compiled model (api/compiled_model.h) executing the
-// plans of nn/conv_plan.h -- a single conv is a one-layer Model.
+// plans of nn/conv_plan.h -- a single conv is a one-conv GraphModel.
 #pragma once
 
 #include <cstdint>

@@ -69,7 +69,9 @@ Json ServerMetrics::to_json_value() const {
 }
 
 ServingRuntime::ServingRuntime(RunSpec spec, ServerConfig cfg)
-    : spec_(std::move(spec)), cfg_(std::move(cfg)) {
+    : spec_(std::move(spec)),
+      cfg_(std::move(cfg)),
+      plans_(spec_, cfg_.max_models) {
   if (cfg_.workers < 1) cfg_.workers = 1;
   if (cfg_.queue_capacity < 1) cfg_.queue_capacity = 1;
   if (cfg_.max_batch < 1) cfg_.max_batch = 1;
@@ -96,76 +98,30 @@ ModelHealth& ServingRuntime::health_entry(ModelHandle h) {
   return it->second;
 }
 
-template <typename ModelT>
-ModelHandle ServingRuntime::load_impl(const ModelT& model, int input_h,
-                                      int input_w) {
-  ModelHandle handle;
-  std::string name;
-  {
-    MutexLock lock(models_mu_);
-    for (size_t i = 0; i < models_.size(); ++i) {
-      const LoadedModel& m = models_[i];
-      if (m.compiled->input_h() == input_h &&
-          m.compiled->input_w() == input_w && m.compiled->matches(model)) {
-        // LRU refresh: a re-loaded model moves to the back (eviction takes
-        // the front).
-        if (i + 1 != models_.size()) {
-          std::rotate(models_.begin() + static_cast<ptrdiff_t>(i),
-                      models_.begin() + static_cast<ptrdiff_t>(i) + 1,
-                      models_.end());
-        }
-        return models_.back().handle;
-      }
-    }
-    CompileOptions opts;
-    opts.input_h = input_h;
-    opts.input_w = input_w;
-    // Compile before evicting: a throwing compile must not cost a cached
-    // plan.
-    auto compiled = std::make_shared<const CompiledModel>(
-        CompiledModel::compile(model, spec_, opts));
-    if (models_.size() >= cfg_.max_models) {
-      models_.erase(models_.begin());
-    }
-    name = compiled->model_name();
-    models_.push_back({next_handle_++, std::move(compiled)});
-    handle = models_.back().handle;
-  }
-  // Health is born with the model (so metrics list it before any traffic)
-  // and deliberately survives eviction: breaker history is diagnosis data.
-  {
-    MutexLock lock(health_mu_);
-    health_entry(handle);
-    model_names_[handle] = std::move(name);
-  }
-  return handle;
-}
-
-ModelHandle ServingRuntime::load(const Model& model, int input_h,
-                                 int input_w) {
-  return load_impl(model, input_h, input_w);
-}
-
 ModelHandle ServingRuntime::load(const GraphModel& model, int input_h,
                                  int input_w) {
-  return load_impl(model, input_h, input_w);
+  const PlanCache::Entry loaded = plans_.get(model, input_h, input_w);
+  // Health is born with the model (so metrics list it before any traffic)
+  // and deliberately survives eviction: breaker history is diagnosis data.
+  // A repeat load finds both already there.
+  {
+    MutexLock lock(health_mu_);
+    health_entry(loaded.handle);
+    model_names_[loaded.handle] = loaded.plan->model_name();
+  }
+  return loaded.handle;
 }
 
 std::shared_ptr<const CompiledModel> ServingRuntime::model(
     ModelHandle h) const {
-  MutexLock lock(models_mu_);
-  for (const LoadedModel& m : models_) {
-    if (m.handle == h) return m.compiled;
-  }
+  std::shared_ptr<const CompiledModel> plan = plans_.find(h);
+  if (plan != nullptr) return plan;
   // lint:allow-throw -- caller bug (bad handle), documented API contract
   throw std::out_of_range("ServingRuntime::model: unknown or evicted handle " +
                           std::to_string(h));
 }
 
-size_t ServingRuntime::loaded_count() const {
-  MutexLock lock(models_mu_);
-  return models_.size();
-}
+size_t ServingRuntime::loaded_count() const { return plans_.size(); }
 
 std::future<ServeResult> ServingRuntime::submit(ModelHandle h, Tensor input,
                                                 const SubmitOptions& opts) {

@@ -5,10 +5,10 @@
 //        N async workers ──> CompiledModel::run_batch ──> future<ServeResult>
 //
 // The runtime owns:
-//   * a Session-style LRU plan cache: load() compiles a model once (exact
-//     content match dedups repeat loads) and hands back a ModelHandle;
-//     requests carry the handle, so the hot path never touches weight
-//     bytes;
+//   * a PlanCache (api/plan_cache.h, the same LRU Session runs on): load()
+//     compiles a model once (exact content match dedups repeat loads) and
+//     hands back a ModelHandle; requests carry the handle, so the hot path
+//     never touches weight bytes;
 //   * a bounded MPMC request queue with typed overload shedding: a full
 //     queue (global or per-model admission cap) resolves the future
 //     IMMEDIATELY with Rejected{kQueueFull} -- the hot path never throws;
@@ -73,6 +73,7 @@
 
 #include "api/compiled_model.h"
 #include "api/json.h"
+#include "api/plan_cache.h"
 #include "common/annotated_mutex.h"
 #include "common/clock.h"
 #include "common/percentile.h"
@@ -143,9 +144,9 @@ struct ServerConfig {
   RunOptions run_options{.compare_reference = false, .with_estimate = false};
 };
 
-/// Stable identity of a loaded model.  Requests carry handles; weight bytes
-/// are only ever touched inside load().
-using ModelHandle = int;
+/// Stable identity of a loaded model (never reused, even after eviction).
+/// Requests carry handles; weight bytes are only ever touched inside load().
+using ModelHandle = PlanCache::Handle;
 
 struct SubmitOptions {
   /// Relative deadline (seconds from submission).  A request still queued
@@ -231,7 +232,6 @@ class ServingRuntime {
   /// refreshes its LRU recency.  Throws std::invalid_argument for anything
   /// CompiledModel::compile rejects -- load time is where exceptions
   /// belong, not the request path.
-  ModelHandle load(const Model& model, int input_h, int input_w);
   ModelHandle load(const GraphModel& model, int input_h, int input_w);
 
   /// The compiled plan behind a handle (introspection / direct baseline
@@ -272,18 +272,12 @@ class ServingRuntime {
     bool probe = false;  ///< admitted as a half-open breaker probe
     std::promise<ServeResult> promise;
   };
-  struct LoadedModel {
-    ModelHandle handle = -1;
-    std::shared_ptr<const CompiledModel> compiled;
-  };
   /// How one unique (post-coalescing) input slot fared at execution.
   struct SlotOutcome {
     RejectReason reason = RejectReason::kNone;
     std::string error;
   };
 
-  template <typename ModelT>
-  ModelHandle load_impl(const ModelT& model, int input_h, int input_w);
   void worker_loop() MPIPU_EXCLUDES(mu_, health_mu_, metrics_mu_);
   /// Move queued same-handle requests into `batch` (FIFO order) up to
   /// max_batch.  Caller holds mu_.
@@ -311,10 +305,8 @@ class ServingRuntime {
   std::shared_ptr<FaultPlan> faults_;  ///< may be null (no-op)
   double start_t_ = 0.0;
 
-  /// Plan cache (guarded by models_mu_): LRU order, most recent at back.
-  mutable Mutex models_mu_;
-  std::vector<LoadedModel> models_ MPIPU_GUARDED_BY(models_mu_);
-  ModelHandle next_handle_ MPIPU_GUARDED_BY(models_mu_) = 0;
+  /// The compiled plans behind the handles (cfg_.max_models of them).
+  PlanCache plans_;
 
   /// Request queue (guarded by mu_, signaled by queue_cv_).
   mutable Mutex mu_;

@@ -1,5 +1,5 @@
 // One convolution on the datapath, the only way the library runs one: a
-// one-layer Model through Session::run.  The single-conv tests read the
+// one-conv GraphModel through Session::run.  The single-conv tests read the
 // output and the per-call RunReport.totals.
 #pragma once
 
@@ -20,11 +20,11 @@ inline RunReport run_single_conv(const Tensor& input, FilterBank filters,
   rs.datapath = datapath;
   rs.policy.set_default(precision);
   rs.threads = threads;
-  const Model model = Model::from_layers(
-      "conv", {ModelLayer{"conv", std::move(filters), spec}});
+  GraphModel::Builder b("conv");
+  b.conv("conv", std::move(filters), spec, b.input());
   RunOptions opts;
   opts.compare_reference = false;
-  return Session(rs).run(model, input, opts);
+  return Session(rs).run(b.build(), input, opts);
 }
 
 }  // namespace mpipu

@@ -32,21 +32,18 @@ DatapathConfig small_datapath(DecompositionScheme scheme) {
   return cfg;
 }
 
-/// Tiny 3-layer CNN with real weights (mirrors test_session's fixture).
-Model tiny_model(Rng& rng) {
-  std::vector<ModelLayer> layers(3);
-  layers[0].name = "conv1";
-  layers[0].filters = random_filters(rng, 6, 3, 3, 3, ValueDist::kNormal, 0.3);
-  layers[0].spec.pad = 1;
-  layers[0].relu = true;
-  layers[1].name = "conv2";
-  layers[1].filters = random_filters(rng, 8, 6, 3, 3, ValueDist::kNormal, 0.15);
-  layers[1].spec.pad = 1;
-  layers[1].relu = true;
-  layers[1].pool = PoolOp::kMax2;
-  layers[2].name = "head";
-  layers[2].filters = random_filters(rng, 4, 8, 1, 1, ValueDist::kNormal, 0.2);
-  return Model::from_layers("tiny3", std::move(layers));
+/// Tiny 3-conv chain with real weights (mirrors test_session's fixture).
+GraphModel tiny_model(Rng& rng) {
+  const ConvSpec pad1{.stride = 1, .pad = 1};
+  GraphModel::Builder b("tiny3");
+  int x = b.input();
+  x = b.conv("conv1", random_filters(rng, 6, 3, 3, 3, ValueDist::kNormal, 0.3),
+             pad1, x, /*relu=*/true);
+  x = b.conv("conv2", random_filters(rng, 8, 6, 3, 3, ValueDist::kNormal, 0.15),
+             pad1, x, /*relu=*/true, PoolOp::kMax2);
+  b.conv("head", random_filters(rng, 4, 8, 1, 1, ValueDist::kNormal, 0.2),
+         ConvSpec{}, x);
+  return b.build();
 }
 
 void expect_tensors_identical(const Tensor& a, const Tensor& b,
@@ -74,7 +71,7 @@ void expect_reports_identical(const RunReport& a, const RunReport& b) {
 
 TEST(CompiledModelTest, ByteIdenticalToSessionRunAllSchemesAndModes) {
   Rng rng(31);
-  const Model model = tiny_model(rng);
+  const GraphModel model = tiny_model(rng);
   const Tensor input = random_tensor(rng, 3, 12, 12, ValueDist::kHalfNormal, 1.0);
 
   struct Case {
@@ -110,7 +107,7 @@ TEST(CompiledModelTest, ByteIdenticalToSessionRunAllSchemesAndModes) {
 
 TEST(CompiledModelTest, WithEstimateMatchesSessionAndBatchComputesItOnce) {
   Rng rng(32);
-  const Model model = tiny_model(rng);
+  const GraphModel model = tiny_model(rng);
   const Tensor input = random_tensor(rng, 3, 12, 12, ValueDist::kHalfNormal, 1.0);
   RunSpec spec;
   spec.datapath = small_datapath(DecompositionScheme::kTemporal);
@@ -135,7 +132,7 @@ TEST(CompiledModelTest, WithEstimateMatchesSessionAndBatchComputesItOnce) {
 
 TEST(CompiledModelTest, ConcurrentCallersAreByteIdenticalToSerial) {
   Rng rng(33);
-  const Model model = tiny_model(rng);
+  const GraphModel model = tiny_model(rng);
   constexpr int kRequests = 6;
   constexpr int kThreads = 4;
   std::vector<Tensor> inputs;
@@ -179,7 +176,7 @@ TEST(CompiledModelTest, ConcurrentCallersAreByteIdenticalToSerial) {
 
 TEST(CompiledModelTest, PolicyIsFrozenAtCompileTime) {
   Rng rng(34);
-  const Model model = tiny_model(rng);
+  const GraphModel model = tiny_model(rng);
   const Tensor input = random_tensor(rng, 3, 8, 8, ValueDist::kHalfNormal, 1.0);
 
   RunSpec spec;
@@ -209,7 +206,7 @@ TEST(CompiledModelTest, PolicyIsFrozenAtCompileTime) {
 
 TEST(CompiledModelTest, CompileTimeValidationErrors) {
   Rng rng(35);
-  const Model model = tiny_model(rng);
+  const GraphModel model = tiny_model(rng);
 
   RunSpec spec;
   spec.datapath = small_datapath(DecompositionScheme::kTemporal);
@@ -219,19 +216,12 @@ TEST(CompiledModelTest, CompileTimeValidationErrors) {
   EXPECT_THROW(session.compile(model, {}), std::invalid_argument);
   EXPECT_THROW(session.compile(model, {0, 12}), std::invalid_argument);
 
-  // Weightless (shape-table) model.
-  Network net;
-  net.name = "shapes";
-  net.tensor_stats = forward_stats();
-  ConvLayer l;
-  l.name = "c1";
-  l.cin = 4;
-  l.cout = 4;
-  l.kh = l.kw = 3;
-  l.hout = l.wout = 8;
-  net.layers.push_back(l);
-  EXPECT_THROW(session.compile(Model::from_network(net), {8, 8}),
-               std::invalid_argument);
+  // Weightless (shape-only) model.
+  {
+    GraphModel::Builder b("shapes");
+    b.conv_shape("c1", 4, 4, 3, 3, ConvSpec{.stride = 1, .pad = 1}, b.input());
+    EXPECT_THROW(session.compile(b.build(), {8, 8}), std::invalid_argument);
+  }
 
   // INT policy on the FP-only spatial scheme, rejected at compile with a
   // diagnostic naming the layer, the precision, and the scheme.
@@ -251,13 +241,13 @@ TEST(CompiledModelTest, CompileTimeValidationErrors) {
   // Geometry that collapses mid-chain (conv2's maxpool on a 2x2 map gives
   // 1x1; the 3x3 pad-1 conv still works there, but a 4x4 pad-0 kernel
   // cannot fit): build a model whose second layer underflows.
-  std::vector<ModelLayer> bad(2);
-  bad[0].name = "a";
-  bad[0].filters = random_filters(rng, 4, 3, 3, 3, ValueDist::kNormal, 0.2);
-  bad[1].name = "b";
-  bad[1].filters = random_filters(rng, 4, 4, 4, 4, ValueDist::kNormal, 0.2);
-  const Model collapsing = Model::from_layers("collapses", std::move(bad));
-  EXPECT_THROW(session.compile(collapsing, {4, 4}), std::invalid_argument);
+  GraphModel::Builder bad("collapses");
+  const int a = bad.conv(
+      "a", random_filters(rng, 4, 3, 3, 3, ValueDist::kNormal, 0.2), ConvSpec{},
+      bad.input());
+  bad.conv("b", random_filters(rng, 4, 4, 4, 4, ValueDist::kNormal, 0.2),
+           ConvSpec{}, a);
+  EXPECT_THROW(session.compile(bad.build(), {4, 4}), std::invalid_argument);
 
   // Run-time shape mismatch against the compiled geometry.
   const CompiledModel compiled = session.compile(model, {12, 12});
@@ -268,47 +258,40 @@ TEST(CompiledModelTest, CompileTimeValidationErrors) {
 
 TEST(CompiledModelTest, FingerprintAndMatchesTrackModelContent) {
   Rng rng(36);
-  const Model model = tiny_model(rng);
+  const GraphModel model = tiny_model(rng);
   RunSpec spec;
   spec.datapath = small_datapath(DecompositionScheme::kTemporal);
   const CompiledModel compiled = CompiledModel::compile(model, spec, {8, 8});
 
-  EXPECT_EQ(compiled.fingerprint(), model_fingerprint(model));
+  EXPECT_EQ(compiled.fingerprint(), graph_fingerprint(model));
   EXPECT_TRUE(compiled.matches(model));
 
   // A one-ulp weight change flips both the fingerprint and the exact match.
-  Model tweaked = model;
-  std::vector<ModelLayer> layers = tweaked.layers();
-  layers[1].filters.data[0] += 1e-6;
-  tweaked = Model::from_layers("tiny3", std::move(layers));
-  EXPECT_NE(model_fingerprint(tweaked), compiled.fingerprint());
+  std::vector<GraphNode> nodes = model.nodes();
+  nodes[2].filters.data[0] += 1e-6;
+  const GraphModel tweaked = GraphModel::from_nodes("tiny3", std::move(nodes));
+  EXPECT_NE(graph_fingerprint(tweaked), compiled.fingerprint());
   EXPECT_FALSE(compiled.matches(tweaked));
 }
 
 TEST(CompiledModelTest, CacheDistinguishesModelsByShapeTableStats) {
-  // Two from_network models with byte-identical (seeded) weights, names and
-  // layer specs but different tensor statistics / recorded shapes wrap
-  // different shape tables -- exactly what estimate() consumes.  The
-  // compile cache must not serve one model's estimate for the other.
-  Network net_a;
-  net_a.name = "twin";
-  net_a.tensor_stats = forward_stats();
-  ConvLayer l;
-  l.name = "c1";
-  l.cin = 4;
-  l.cout = 4;
-  l.kh = l.kw = 3;
-  l.hout = l.wout = 8;
-  net_a.layers.push_back(l);
-  Network net_b = net_a;
-  net_b.tensor_stats = backward_stats();  // same shapes, wider exponents
-
-  Model model_a = Model::from_network(net_a);
-  Model model_b = Model::from_network(net_b);
-  model_a.materialize_weights(7);
-  model_b.materialize_weights(7);  // same seed + dist: identical weights
-  ASSERT_EQ(model_a.layers()[0].filters.data, model_b.layers()[0].filters.data);
-  EXPECT_EQ(model_fingerprint(model_a), model_fingerprint(model_b));
+  // Two graphs with identical nodes and weights but different tensor
+  // statistics build different shape tables -- exactly what estimate()
+  // consumes.  The plan cache must not serve one graph's estimate for the
+  // other.
+  Rng rng(38);
+  const FilterBank weights =
+      random_filters(rng, 4, 4, 3, 3, ValueDist::kNormal, 0.2);
+  const auto twin = [&](const LayerTensorStats& stats) {
+    GraphModel::Builder b("twin");
+    b.conv("c1", weights, ConvSpec{.stride = 1, .pad = 1}, b.input());
+    b.tensor_stats(stats);
+    return b.build();
+  };
+  const GraphModel model_a = twin(forward_stats());
+  const GraphModel model_b = twin(backward_stats());  // wider exponents
+  ASSERT_EQ(model_a.nodes(), model_b.nodes());
+  EXPECT_EQ(graph_fingerprint(model_a), graph_fingerprint(model_b));
 
   RunSpec spec;
   spec.datapath = small_datapath(DecompositionScheme::kTemporal);
@@ -323,12 +306,13 @@ TEST(CompiledModelTest, CacheDistinguishesModelsByShapeTableStats) {
   // matches() (the exact second stage) must have rejected the cache hit:
   // backward stats spread alignments far wider, so the estimates differ.
   EXPECT_NE(ra.estimate->total_cycles, rb.estimate->total_cycles);
+  EXPECT_EQ(session.cached_plans(), 2u);
   EXPECT_FALSE(session.compile(model_a, {8, 8}).matches(model_b));
 }
 
 TEST(CompiledModelTest, SessionCompileCacheReusesAndRecompiles) {
   Rng rng(37);
-  const Model model = tiny_model(rng);
+  const GraphModel model = tiny_model(rng);
   const Tensor a = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
   const Tensor b = random_tensor(rng, 3, 12, 12, ValueDist::kHalfNormal, 1.0);
 

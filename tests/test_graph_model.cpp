@@ -287,6 +287,8 @@ TEST(GraphModelTest, TopologyValidationErrors) {
   conv.filters = f433;
   conv.spec = pad1;
 
+  // Empty node list.
+  expect_invalid({}, "empty");
   // No input node.
   expect_invalid({conv}, "no input");
   // Two input nodes.
@@ -434,15 +436,15 @@ TEST(GraphModelTest, PolicyResolvesOverConvNodesInExecutionOrder) {
 }
 
 TEST(GraphModelTest, SessionCacheKeepsGraphAndChainEntriesApart) {
-  // A chain Model and a GraphModel deliberately sharing a name: the cache
-  // must never serve one for the other, and graph repeat runs must be
-  // byte-identical cache hits.
+  // A one-conv chain with trained weights and a materialized shape-only
+  // graph of the same topology, deliberately sharing a name: the cache must
+  // never serve one for the other, and repeat runs must be byte-identical
+  // cache hits.
   Rng rng(111);
-  std::vector<ModelLayer> layers(1);
-  layers[0].name = "c1";
-  layers[0].filters = random_filters(rng, 4, 3, 3, 3, ValueDist::kNormal, 0.2);
-  layers[0].spec.pad = 1;
-  const Model chain = Model::from_layers("twin", std::move(layers));
+  GraphModel::Builder cb("twin");
+  cb.conv("c1", random_filters(rng, 4, 3, 3, 3, ValueDist::kNormal, 0.2),
+          ConvSpec{.stride = 1, .pad = 1}, cb.input());
+  const GraphModel chain = cb.build();
 
   GraphModel::Builder b("twin");
   const int in = b.input();
@@ -465,7 +467,6 @@ TEST(GraphModelTest, SessionCacheKeepsGraphAndChainEntriesApart) {
   EXPECT_NE(g1.output.data, c1.output.data);
 
   const CompiledModel cg = session.compile(graph, {8, 8});
-  EXPECT_TRUE(cg.is_graph());
   EXPECT_TRUE(cg.matches(graph));
   EXPECT_FALSE(cg.matches(chain));
   EXPECT_EQ(cg.fingerprint(), graph_fingerprint(graph));
@@ -506,6 +507,20 @@ TEST(GraphModelTest, MaterializePreservesRealWeightsOnMixedBuilders) {
   g2.materialize_weights(117);
   EXPECT_EQ(filters_of(g2, "trained").data, trained.data);
   EXPECT_NE(filters_of(g2, "random").data, filters_of(g, "random").data);
+
+  // A graph without placeholders has nothing to fill: an all-conv()
+  // builder and a from_nodes graph both refuse, weights untouched.
+  GraphModel::Builder tb("all-trained");
+  const int t1 = tb.conv("trained", trained, pad1, tb.input(), /*relu=*/true);
+  tb.conv("head", filters_of(g, "random"), pad1, t1);
+  GraphModel all_trained = tb.build();
+  EXPECT_THROW(all_trained.materialize_weights(118), std::invalid_argument);
+  EXPECT_EQ(filters_of(all_trained, "trained").data, trained.data);
+  EXPECT_EQ(filters_of(all_trained, "head").data,
+            filters_of(g, "random").data);
+  GraphModel listed = GraphModel::from_nodes("listed", g.nodes());
+  EXPECT_THROW(listed.materialize_weights(119), std::invalid_argument);
+  EXPECT_EQ(listed.nodes(), g.nodes());
 }
 
 TEST(GraphModelTest, ReferenceAndBatchPaths) {

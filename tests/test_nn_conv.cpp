@@ -1,7 +1,7 @@
 // The exact reference conv (byte-identical to the naive loop of
 // tests/conv_oracle.h for any pool size, typed errors on bad geometry) and
 // integration tests: convolution on the bit-accurate IPU datapath (a
-// one-layer Model through Session::run) vs the exact reference -- the
+// one-conv GraphModel through Session::run) vs the exact reference -- the
 // mechanism behind the paper's §3.1 accuracy claims.
 #include <gtest/gtest.h>
 

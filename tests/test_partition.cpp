@@ -334,11 +334,10 @@ TEST(TileValidation, SurfacedThroughSessionEstimate) {
   spec.sim.sampled_steps = 50;
   Session session(spec);
   Rng rng(7);
-  std::vector<ModelLayer> layers(1);
-  layers[0].name = "conv";
-  layers[0].filters = random_filters(rng, 8, 3, 3, 3, ValueDist::kNormal, 0.3);
-  const Model model = Model::from_layers("m", std::move(layers));
-  EXPECT_THROW(session.estimate(model, 8, 8), std::invalid_argument);
+  GraphModel::Builder b("m");
+  b.conv("conv", random_filters(rng, 8, 3, 3, 3, ValueDist::kNormal, 0.3),
+         ConvSpec{}, b.input());
+  EXPECT_THROW(session.estimate(b.build(), 8, 8), std::invalid_argument);
 }
 
 }  // namespace

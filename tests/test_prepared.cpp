@@ -5,7 +5,7 @@
 //   * all three decomposition schemes x {FP16, FP32} accumulation regimes
 //     (software precision 16 / 28 with the matching readout),
 //   * INT mode (temporal digit planes, serial raw-value streaming),
-//   * full convolutions (a one-layer Model through Session::run, at 1, 3
+//   * full convolutions (a one-conv GraphModel through Session::run, at 1, 3
 //     and 5 threads) including border-pixel clip classes (pad/stride
 //     combinations), output maps with fewer pixels than pool slots, and
 //     the skip_zero_iterations sparse ablation,

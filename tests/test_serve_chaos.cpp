@@ -53,15 +53,14 @@ RunSpec chaos_spec() {
   return spec;
 }
 
-Model tiny_model(Rng& rng, const std::string& name) {
-  std::vector<ModelLayer> layers(2);
-  layers[0].name = "conv1";
-  layers[0].filters = random_filters(rng, 4, 3, 3, 3, ValueDist::kNormal, 0.3);
-  layers[0].spec.pad = 1;
-  layers[0].relu = true;
-  layers[1].name = "head";
-  layers[1].filters = random_filters(rng, 2, 4, 1, 1, ValueDist::kNormal, 0.2);
-  return Model::from_layers(name, std::move(layers));
+GraphModel tiny_model(Rng& rng, const std::string& name) {
+  GraphModel::Builder b(name);
+  const int c1 =
+      b.conv("conv1", random_filters(rng, 4, 3, 3, 3, ValueDist::kNormal, 0.3),
+             ConvSpec{.stride = 1, .pad = 1}, b.input(), /*relu=*/true);
+  b.conv("head", random_filters(rng, 2, 4, 1, 1, ValueDist::kNormal, 0.2),
+         ConvSpec{}, c1);
+  return b.build();
 }
 
 /// One seeded chaos scenario: randomized config + fault schedule + traffic,
@@ -218,7 +217,7 @@ TEST(ServeChaos, RandomizedFaultSchedulesUnderAbort) {
 
 TEST(ServeChaos, RuntimeReturnsToFullServiceAfterFaultsClear) {
   Rng rng(9100);
-  const Model model = tiny_model(rng, "chaos_recovery");
+  const GraphModel model = tiny_model(rng, "chaos_recovery");
   const Tensor input = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
 
   ManualClock clock;
@@ -259,7 +258,7 @@ TEST(ServeChaos, RuntimeReturnsToFullServiceAfterFaultsClear) {
 
 TEST(ServeChaos, RetryClientRidesOutTransientChaos) {
   Rng rng(9200);
-  const Model model = tiny_model(rng, "chaos_client");
+  const GraphModel model = tiny_model(rng, "chaos_client");
   std::vector<Tensor> catalog;
   for (int i = 0; i < 2; ++i) {
     catalog.push_back(random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0));

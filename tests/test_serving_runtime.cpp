@@ -64,42 +64,37 @@ RunSpec serving_spec() {
   return spec;
 }
 
-/// Small 2-layer CNN (fast: the default request payload).
-Model fast_model(Rng& rng, const std::string& name = "serve_fast") {
-  std::vector<ModelLayer> layers(2);
-  layers[0].name = "conv1";
-  layers[0].filters = random_filters(rng, 4, 3, 3, 3, ValueDist::kNormal, 0.3);
-  layers[0].spec.pad = 1;
-  layers[0].relu = true;
-  layers[1].name = "head";
-  layers[1].filters = random_filters(rng, 2, 4, 1, 1, ValueDist::kNormal, 0.2);
-  return Model::from_layers(name, std::move(layers));
+/// Small 2-conv chain (fast: the default request payload).
+GraphModel fast_model(Rng& rng, const std::string& name = "serve_fast") {
+  GraphModel::Builder b(name);
+  const int c1 =
+      b.conv("conv1", random_filters(rng, 4, 3, 3, 3, ValueDist::kNormal, 0.3),
+             ConvSpec{.stride = 1, .pad = 1}, b.input(), /*relu=*/true);
+  b.conv("head", random_filters(rng, 2, 4, 1, 1, ValueDist::kNormal, 0.2),
+         ConvSpec{}, c1);
+  return b.build();
 }
 
-/// Wider 3-layer CNN (slow: used to hold a worker busy while the queue
+/// Wider 3-conv chain (slow: used to hold a worker busy while the queue
 /// builds up behind it).
-Model slow_model(Rng& rng) {
-  std::vector<ModelLayer> layers(3);
-  layers[0].name = "conv1";
-  layers[0].filters =
-      random_filters(rng, 16, 3, 3, 3, ValueDist::kNormal, 0.3);
-  layers[0].spec.pad = 1;
-  layers[0].relu = true;
-  layers[1].name = "conv2";
-  layers[1].filters =
-      random_filters(rng, 16, 16, 3, 3, ValueDist::kNormal, 0.15);
-  layers[1].spec.pad = 1;
-  layers[1].relu = true;
-  layers[2].name = "head";
-  layers[2].filters =
-      random_filters(rng, 4, 16, 1, 1, ValueDist::kNormal, 0.2);
-  return Model::from_layers("serve_slow", std::move(layers));
+GraphModel slow_model(Rng& rng) {
+  const ConvSpec pad1{.stride = 1, .pad = 1};
+  GraphModel::Builder b("serve_slow");
+  int x = b.input();
+  x = b.conv("conv1", random_filters(rng, 16, 3, 3, 3, ValueDist::kNormal, 0.3),
+             pad1, x, /*relu=*/true);
+  x = b.conv("conv2",
+             random_filters(rng, 16, 16, 3, 3, ValueDist::kNormal, 0.15), pad1,
+             x, /*relu=*/true);
+  b.conv("head", random_filters(rng, 4, 16, 1, 1, ValueDist::kNormal, 0.2),
+         ConvSpec{}, x);
+  return b.build();
 }
 
 TEST(ServingRuntime, BatchedAndCoalescedResultsAreByteIdentical) {
   Rng rng(7001);
-  const Model slow = slow_model(rng);
-  const Model fast = fast_model(rng);
+  const GraphModel slow = slow_model(rng);
+  const GraphModel fast = fast_model(rng);
   const Tensor plug = random_tensor(rng, 3, 16, 16, ValueDist::kHalfNormal, 1.0);
   std::vector<Tensor> catalog;
   for (int i = 0; i < 3; ++i) {
@@ -164,7 +159,7 @@ TEST(ServingRuntime, BatchedAndCoalescedResultsAreByteIdentical) {
 
 TEST(ServingRuntime, CoalescingOffStillByteIdentical) {
   Rng rng(7002);
-  const Model fast = fast_model(rng);
+  const GraphModel fast = fast_model(rng);
   const Tensor input = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
 
   ServerConfig cfg;
@@ -187,7 +182,7 @@ TEST(ServingRuntime, CoalescingOffStillByteIdentical) {
 
 TEST(ServingRuntime, SaturatingClientShedsQueueFull) {
   Rng rng(7003);
-  const Model slow = slow_model(rng);
+  const GraphModel slow = slow_model(rng);
   const Tensor input = random_tensor(rng, 3, 16, 16, ValueDist::kHalfNormal, 1.0);
 
   ServerConfig cfg;
@@ -228,8 +223,8 @@ TEST(ServingRuntime, SaturatingClientShedsQueueFull) {
 
 TEST(ServingRuntime, PerModelAdmissionCapIsolatesAGreedyModel) {
   Rng rng(7004);
-  const Model slow = slow_model(rng);
-  const Model fast = fast_model(rng);
+  const GraphModel slow = slow_model(rng);
+  const GraphModel fast = fast_model(rng);
   const Tensor slow_in = random_tensor(rng, 3, 16, 16, ValueDist::kHalfNormal, 1.0);
   const Tensor fast_in = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
 
@@ -259,8 +254,8 @@ TEST(ServingRuntime, PerModelAdmissionCapIsolatesAGreedyModel) {
 
 TEST(ServingRuntime, ExpiredDeadlineShedsWithoutExecuting) {
   Rng rng(7005);
-  const Model slow = slow_model(rng);
-  const Model fast = fast_model(rng);
+  const GraphModel slow = slow_model(rng);
+  const GraphModel fast = fast_model(rng);
   const Tensor slow_in = random_tensor(rng, 3, 16, 16, ValueDist::kHalfNormal, 1.0);
   const Tensor fast_in = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
 
@@ -290,7 +285,7 @@ TEST(ServingRuntime, ExpiredDeadlineShedsWithoutExecuting) {
 
 TEST(ServingRuntime, DrainCompletesEveryAcceptedRequest) {
   Rng rng(7006);
-  const Model fast = fast_model(rng);
+  const GraphModel fast = fast_model(rng);
   const Tensor input = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
 
   auto rt = std::make_unique<ServingRuntime>(serving_spec(), ServerConfig{});
@@ -311,7 +306,7 @@ TEST(ServingRuntime, DrainCompletesEveryAcceptedRequest) {
 
 TEST(ServingRuntime, AbortShedsQueuedButFinishesInFlight) {
   Rng rng(7007);
-  const Model slow = slow_model(rng);
+  const GraphModel slow = slow_model(rng);
   const Tensor input = random_tensor(rng, 3, 16, 16, ValueDist::kHalfNormal, 1.0);
 
   ServerConfig cfg;
@@ -344,9 +339,9 @@ TEST(ServingRuntime, AbortShedsQueuedButFinishesInFlight) {
 
 TEST(ServingRuntime, PlanCacheDedupsAndEvictsLru) {
   Rng rng(7008);
-  const Model a = fast_model(rng, "serve_a");
-  const Model b = fast_model(rng, "serve_b");
-  const Model c = fast_model(rng, "serve_c");
+  const GraphModel a = fast_model(rng, "serve_a");
+  const GraphModel b = fast_model(rng, "serve_b");
+  const GraphModel c = fast_model(rng, "serve_c");
 
   ServerConfig cfg;
   cfg.max_models = 2;
@@ -382,11 +377,10 @@ TEST(ServingRuntime, LoadRejectsInvalidConvSpecWithoutCaching) {
   ConvSpec stride0;
   stride0.stride = 0;
   stride0.pad = 1;
-  const Model chain = Model::from_layers(
-      "stride0",
-      {ModelLayer{"conv", random_filters(rng, 4, 3, 3, 3, ValueDist::kNormal, 0.3),
-                  stride0}});
-  EXPECT_THROW(rt.load(chain, 8, 8), std::invalid_argument);
+  GraphModel::Builder chain("stride0");
+  chain.conv("conv", random_filters(rng, 4, 3, 3, 3, ValueDist::kNormal, 0.3),
+             stride0, chain.input());
+  EXPECT_THROW(rt.load(chain.build(), 8, 8), std::invalid_argument);
   GraphModel::Builder b("stride0-graph");
   b.conv("conv", random_filters(rng, 4, 3, 3, 3, ValueDist::kNormal, 0.3),
          stride0, b.input());
@@ -398,7 +392,7 @@ TEST(ServingRuntime, LoadRejectsInvalidConvSpecWithoutCaching) {
 
 TEST(ServingRuntime, MetricsJsonHasTheContractKeys) {
   Rng rng(7009);
-  const Model fast = fast_model(rng);
+  const GraphModel fast = fast_model(rng);
   ServingRuntime rt(serving_spec());
   const ModelHandle h = rt.load(fast, 10, 10);
   ASSERT_TRUE(
@@ -426,7 +420,7 @@ TEST(ServingRuntime, MetricsJsonHasTheContractKeys) {
 
 TEST(ServingFaults, BadInputShedsAtAdmissionWithoutExecuting) {
   Rng rng(7101);
-  const Model fast = fast_model(rng);
+  const GraphModel fast = fast_model(rng);
   ServingRuntime rt(serving_spec());
   const ModelHandle h = rt.load(fast, 10, 10);
 
@@ -455,8 +449,8 @@ TEST(ServingFaults, BadInputShedsAtAdmissionWithoutExecuting) {
 
 TEST(ServingFaults, BadBatchmateIsIsolatedNotPoisoning) {
   Rng rng(7102);
-  const Model slow = slow_model(rng);
-  const Model fast = fast_model(rng);
+  const GraphModel slow = slow_model(rng);
+  const GraphModel fast = fast_model(rng);
   const Tensor plug = random_tensor(rng, 3, 16, 16, ValueDist::kHalfNormal, 1.0);
   const Tensor good_a = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
   const Tensor good_b = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
@@ -506,7 +500,7 @@ TEST(ServingFaults, BadBatchmateIsIsolatedNotPoisoning) {
 
 TEST(ServingFaults, ConservationInvariantHoldsMidFlight) {
   Rng rng(7103);
-  const Model slow = slow_model(rng);
+  const GraphModel slow = slow_model(rng);
   const Tensor input = random_tensor(rng, 3, 16, 16, ValueDist::kHalfNormal, 1.0);
 
   ServerConfig cfg;
@@ -549,7 +543,7 @@ TEST(ServingFaults, ConservationInvariantHoldsMidFlight) {
 
 TEST(ServingFaults, BreakerOpensFastShedsAndRecoversViaProbe) {
   Rng rng(7104);
-  const Model fast = fast_model(rng);
+  const GraphModel fast = fast_model(rng);
   const Tensor input = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
 
   ManualClock clock;
@@ -606,7 +600,7 @@ TEST(ServingFaults, BreakerOpensFastShedsAndRecoversViaProbe) {
 
 TEST(ServingFaults, WatchdogCountsStallsAgainstTheBudget) {
   Rng rng(7105);
-  const Model fast = fast_model(rng);
+  const GraphModel fast = fast_model(rng);
   const Tensor input = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
 
   // Every execution is delayed 50 virtual ms against a 5 ms budget; under
@@ -639,7 +633,7 @@ TEST(ServingFaults, WatchdogCountsStallsAgainstTheBudget) {
 
 TEST(ServingFaults, DrainRacesTheBatchWindow) {
   Rng rng(7106);
-  const Model fast = fast_model(rng);
+  const GraphModel fast = fast_model(rng);
   const Tensor input = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
 
   // A 30 s batch window would block a naive drain for 30 s.  The leader
@@ -670,7 +664,7 @@ TEST(ServingFaults, DrainRacesTheBatchWindow) {
 
 TEST(ServingFaults, AbortRacesTheBatchWindow) {
   Rng rng(7107);
-  const Model fast = fast_model(rng);
+  const GraphModel fast = fast_model(rng);
   const Tensor input = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
 
   ServerConfig cfg;
@@ -849,7 +843,7 @@ TEST(CircuitBreakerUnit, FullOpenHalfOpenClosedCycle) {
 
 TEST(ServeClientUnit, BackoffScheduleAndRetryGates) {
   Rng rng(7108);
-  const Model fast = fast_model(rng);
+  const GraphModel fast = fast_model(rng);
   ManualClock clock;
   ServerConfig cfg;
   cfg.clock = &clock;
@@ -895,7 +889,7 @@ TEST(ServeClientUnit, BackoffScheduleAndRetryGates) {
 
 TEST(ServeClientUnit, RetriesThroughTransientFaultsThenGivesUp) {
   Rng rng(7109);
-  const Model fast = fast_model(rng);
+  const GraphModel fast = fast_model(rng);
   const Tensor input = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
   const Tensor bad = random_tensor(rng, 3, 8, 8, ValueDist::kHalfNormal, 1.0);
 

@@ -9,8 +9,12 @@
 //    are rejected with a clear error before anything executes;
 //  * Session::estimate reproduces simulate_network for the same config
 //    (one RunSpec drives both paths);
-//  * Model construction/validation and RunReport JSON emission;
-//  * Session::reference rejects an input/model channel mismatch, like run.
+//  * RunReport JSON emission;
+//  * Session::reference rejects an input/model channel mismatch, like run;
+//  * the one plan cache (api/plan_cache.h) behind Session::run and
+//    ServingRuntime::load: concurrent runs, a compile that throws at
+//    capacity evicts nothing, and an evicted plan keeps running for the
+//    caller holding it.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -21,6 +25,7 @@
 #include "api/session.h"
 #include "common/rng.h"
 #include "conv_oracle.h"
+#include "serve/serving_runtime.h"
 #include "workload/graph_builders.h"
 
 namespace mpipu {
@@ -35,22 +40,27 @@ DatapathConfig small_datapath(DecompositionScheme scheme = DecompositionScheme::
   return cfg;
 }
 
-/// Tiny 3-layer CNN with real weights: fp16 -> int8 -> fp16 under the
+/// Tiny 3-conv chain with real weights: fp16 -> int8 -> fp16 under the
 /// mixed policy used below.
-Model tiny_model(Rng& rng) {
-  std::vector<ModelLayer> layers(3);
-  layers[0].name = "conv1";
-  layers[0].filters = random_filters(rng, 6, 3, 3, 3, ValueDist::kNormal, 0.3);
-  layers[0].spec.pad = 1;
-  layers[0].relu = true;
-  layers[1].name = "conv2";
-  layers[1].filters = random_filters(rng, 8, 6, 3, 3, ValueDist::kNormal, 0.15);
-  layers[1].spec.pad = 1;
-  layers[1].relu = true;
-  layers[1].pool = PoolOp::kMax2;
-  layers[2].name = "head";
-  layers[2].filters = random_filters(rng, 4, 8, 1, 1, ValueDist::kNormal, 0.2);
-  return Model::from_layers("tiny3", std::move(layers));
+GraphModel tiny_model(Rng& rng) {
+  const ConvSpec pad1{.stride = 1, .pad = 1};
+  GraphModel::Builder b("tiny3");
+  int x = b.input();
+  x = b.conv("conv1", random_filters(rng, 6, 3, 3, 3, ValueDist::kNormal, 0.3),
+             pad1, x, /*relu=*/true);
+  x = b.conv("conv2", random_filters(rng, 8, 6, 3, 3, ValueDist::kNormal, 0.15),
+             pad1, x, /*relu=*/true, PoolOp::kMax2);
+  b.conv("head", random_filters(rng, 4, 8, 1, 1, ValueDist::kNormal, 0.2),
+         ConvSpec{}, x);
+  return b.build();
+}
+
+/// One 3x3 conv with stride 0: every compile of it throws.
+GraphModel stride0_model(Rng& rng) {
+  GraphModel::Builder b("stride0");
+  b.conv("conv", random_filters(rng, 4, 3, 3, 3, ValueDist::kNormal, 0.3),
+         ConvSpec{.stride = 0, .pad = 1}, b.input());
+  return b.build();
 }
 
 PrecisionPolicy mixed_policy() {
@@ -61,7 +71,7 @@ PrecisionPolicy mixed_policy() {
 
 TEST(SessionRun, BitExactVsPerOpOracleChain) {
   Rng rng(21);
-  const Model model = tiny_model(rng);
+  const GraphModel model = tiny_model(rng);
   const Tensor input = random_tensor(rng, 3, 12, 12, ValueDist::kHalfNormal, 1.0);
 
   RunSpec spec;
@@ -71,16 +81,17 @@ TEST(SessionRun, BitExactVsPerOpOracleChain) {
   Session session(spec);
   const RunReport report = session.run(model, input);
 
-  // The equivalent chain hand-wired on the per-op oracle.
-  const auto& layers = model.layers();
+  // The equivalent chain hand-wired on the per-op oracle (node 0 is the
+  // input).
+  const std::vector<GraphNode>& nodes = model.nodes();
   const oracle::ConvResult c1 = oracle::conv_fp16(
-      input, layers[0].filters, layers[0].spec, spec.datapath, AccumKind::kFp32);
+      input, nodes[1].filters, nodes[1].spec, spec.datapath, AccumKind::kFp32);
   const oracle::ConvResult c2 =
-      oracle::conv_int(relu(c1.output), layers[1].filters, layers[1].spec,
+      oracle::conv_int(relu(c1.output), nodes[2].filters, nodes[2].spec,
                        spec.datapath, 8, 8);
   const oracle::ConvResult c3 =
-      oracle::conv_fp16(maxpool2(relu(c2.output)), layers[2].filters,
-                        layers[2].spec, spec.datapath, AccumKind::kFp32);
+      oracle::conv_fp16(maxpool2(relu(c2.output)), nodes[3].filters,
+                        nodes[3].spec, spec.datapath, AccumKind::kFp32);
   const Tensor& x = c3.output;
   DatapathStats oracle_stats = c1.stats;
   oracle_stats += c2.stats;
@@ -102,7 +113,7 @@ TEST(SessionRun, BitExactVsPerOpOracleChain) {
 
 TEST(SessionRunBatch, ThreadCountInvariantTensorsAndStats) {
   Rng rng(22);
-  const Model model = tiny_model(rng);
+  const GraphModel model = tiny_model(rng);
   std::vector<Tensor> inputs;
   for (int i = 0; i < 3; ++i) {
     inputs.push_back(random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0));
@@ -137,7 +148,7 @@ TEST(SessionRunBatch, ThreadCountInvariantTensorsAndStats) {
 
 TEST(SessionRun, RejectsIntLayerOnSpatialDatapath) {
   Rng rng(23);
-  const Model model = tiny_model(rng);
+  const GraphModel model = tiny_model(rng);
   const Tensor input = random_tensor(rng, 3, 8, 8, ValueDist::kHalfNormal, 1.0);
 
   RunSpec spec;
@@ -183,7 +194,7 @@ TEST(SessionEstimate, ReproducesSimulateNetworkForSameConfig) {
   Session session(spec);
 
   const NetworkSimResult direct = simulate_network(net, tile, opts);
-  const NetworkSimResult api = session.estimate(Model::from_network(net));
+  const NetworkSimResult api = session.estimate(net);
   EXPECT_EQ(api.total_cycles, direct.total_cycles);
   ASSERT_EQ(api.layers.size(), direct.layers.size());
   EXPECT_EQ(api.layers[0].cycles_per_step, direct.layers[0].cycles_per_step);
@@ -191,7 +202,7 @@ TEST(SessionEstimate, ReproducesSimulateNetworkForSameConfig) {
 
 TEST(SessionEstimate, AdHocModelDerivesShapeTable) {
   Rng rng(24);
-  const Model model = tiny_model(rng);
+  const GraphModel model = tiny_model(rng);
   const Network table = model.shape_table(12, 12);
   ASSERT_EQ(table.layers.size(), 3u);
   EXPECT_EQ(table.layers[0].hout, 12);  // pad-1 3x3 keeps dims
@@ -208,8 +219,8 @@ TEST(SessionEstimate, AdHocModelDerivesShapeTable) {
   EXPECT_GT(r.total_cycles, 0.0);
   EXPECT_EQ(r.layers.size(), 3u);
 
-  // Ad-hoc models need input dims to derive the table.
-  EXPECT_THROW(session.estimate(model), std::invalid_argument);
+  // Deriving the table needs positive input dims.
+  EXPECT_THROW(session.estimate(model, 0, 0), std::invalid_argument);
   // Mismatched tile/datapath widths are rejected: one RunSpec, one n.
   RunSpec bad = spec;
   bad.tile = small_tile(16, 28);  // c_unroll = 8 != n_inputs = 16
@@ -218,7 +229,7 @@ TEST(SessionEstimate, AdHocModelDerivesShapeTable) {
 
 TEST(SessionRun, WithEstimateAttachesSimResult) {
   Rng rng(25);
-  const Model model = tiny_model(rng);
+  const GraphModel model = tiny_model(rng);
   const Tensor input = random_tensor(rng, 3, 12, 12, ValueDist::kHalfNormal, 1.0);
   RunSpec spec;
   spec.datapath = small_datapath();
@@ -231,65 +242,6 @@ TEST(SessionRun, WithEstimateAttachesSimResult) {
   ASSERT_TRUE(report.estimate.has_value());
   EXPECT_GT(report.estimate->total_cycles, 0.0);
   EXPECT_EQ(report.estimate->layers.size(), 3u);
-}
-
-TEST(ModelValidation, RejectsBadConstructions) {
-  EXPECT_THROW(Model::from_layers("empty", {}), std::invalid_argument);
-
-  Rng rng(26);
-  std::vector<ModelLayer> broken(2);
-  broken[0].name = "a";
-  broken[0].filters = random_filters(rng, 4, 3, 3, 3, ValueDist::kNormal, 0.2);
-  broken[1].name = "b";
-  broken[1].filters = random_filters(rng, 4, 5, 3, 3, ValueDist::kNormal, 0.2);
-  EXPECT_THROW(Model::from_layers("broken", std::move(broken)),
-               std::invalid_argument);
-
-  // Shape-table models are estimate-only until weights are materialized.
-  Network net;
-  net.name = "chain";
-  net.tensor_stats = forward_stats();
-  ConvLayer l;
-  l.cin = 4;
-  l.cout = 4;
-  l.kh = l.kw = 3;
-  l.hout = l.wout = 8;
-  l.name = "c1";
-  net.layers.push_back(l);
-  l.name = "c2";
-  net.layers.push_back(l);
-  Model shape_model = Model::from_network(net);
-  EXPECT_FALSE(shape_model.has_weights());
-
-  RunSpec spec;
-  spec.datapath = small_datapath();
-  Session session(spec);
-  const Tensor input(4, 8, 8);
-  EXPECT_THROW(session.run(shape_model, input), std::invalid_argument);
-
-  shape_model.materialize_weights(7);
-  ASSERT_TRUE(shape_model.has_weights());
-  EXPECT_EQ(session.run(shape_model, input).layers.size(), 2u);
-
-  // Branchy tables (repeat > 1) cannot be materialized.
-  net.layers[0].repeat = 2;
-  Model branchy = Model::from_network(net);
-  EXPECT_THROW(branchy.materialize_weights(7), std::invalid_argument);
-
-  // Rows chaining on channels but not spatially under same-padding are
-  // rejected too: run() and estimate() would silently disagree on shapes.
-  Network skewed;
-  skewed.name = "skewed";
-  skewed.tensor_stats = forward_stats();
-  ConvLayer s = l;
-  s.repeat = 1;
-  s.name = "s1";
-  skewed.layers.push_back(s);
-  s.name = "s2";
-  s.hout = s.wout = 6;  // recorded without padding; same-pad would give 8
-  skewed.layers.push_back(s);
-  EXPECT_THROW(Model::from_network(skewed).materialize_weights(7),
-               std::invalid_argument);
 }
 
 TEST(PrecisionPolicyTest, PresetsAndOverridePriority) {
@@ -310,7 +262,7 @@ TEST(PrecisionPolicyTest, PresetsAndOverridePriority) {
 
 TEST(RunReportJson, EmitsStructuredDocument) {
   Rng rng(27);
-  const Model model = tiny_model(rng);
+  const GraphModel model = tiny_model(rng);
   const Tensor input = random_tensor(rng, 3, 8, 8, ValueDist::kHalfNormal, 1.0);
   RunSpec spec;
   spec.datapath = small_datapath();
@@ -337,10 +289,11 @@ TEST(RunReportJson, EmitsStructuredDocument) {
 
 // Regression: Session::reference skipped run()'s channel check, so a
 // narrower input silently returned a "reference" and a wider one read past
-// the filter bank inside conv_reference.  Both overloads, both directions.
+// the filter bank inside conv_reference.  A chain and a residual block,
+// both directions.
 TEST(SessionReference, RejectsChannelMismatchLikeRun) {
   Rng rng(27);
-  const Model model = tiny_model(rng);  // reads 3 channels
+  const GraphModel model = tiny_model(rng);  // reads 3 channels
   GraphModel graph = resnet_basic_block_graph(4, 6, 2);  // reads 4
   graph.materialize_weights(28);
 
@@ -352,7 +305,7 @@ TEST(SessionReference, RejectsChannelMismatchLikeRun) {
     } catch (const std::invalid_argument& e) {
       EXPECT_EQ(std::string(e.what()),
                 "Session::reference: input has " + std::to_string(c) +
-                    " channels but layer 'conv1' expects 3");
+                    " channels but graph 'tiny3' expects 3");
     }
     try {
       (void)Session::reference(graph, input);
@@ -383,7 +336,7 @@ TEST(SessionReference, RejectsChannelMismatchLikeRun) {
 // interleave; every thread checks its outputs against a serial baseline.
 TEST(SessionThreadSafety, ConcurrentRunsShareOneSession) {
   constexpr int kThreads = 8;
-  constexpr int kModels = 10;  // > kMaxCompiledCacheEntries: forces eviction
+  constexpr int kModels = 10;  // > the 8 cached plans: forces eviction
   constexpr int kRounds = 6;
 
   RunSpec spec;
@@ -391,7 +344,7 @@ TEST(SessionThreadSafety, ConcurrentRunsShareOneSession) {
   spec.policy = mixed_policy();
   spec.threads = 1;
 
-  std::vector<Model> models;
+  std::vector<GraphModel> models;
   std::vector<Tensor> inputs;
   std::vector<Tensor> expected;
   {
@@ -427,6 +380,75 @@ TEST(SessionThreadSafety, ConcurrentRunsShareOneSession) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(mismatches[static_cast<size_t>(t)], 0) << "thread " << t;
   }
+}
+
+// A compile that throws while the cache is full must evict nothing: the
+// cache compiles before it evicts.  Through both owners of the one cache.
+TEST(PlanCacheTest, FailedCompileAtCapacityEvictsNothing) {
+  Rng rng(406);
+  RunSpec spec;
+  spec.datapath = small_datapath();
+  spec.threads = 1;
+
+  Session session(spec);
+  std::vector<GraphModel> models;
+  for (int m = 0; m < 8; ++m) {
+    models.push_back(tiny_model(rng));
+    (void)session.run(models.back(), Tensor(3, 8, 8));
+  }
+  ASSERT_EQ(session.cached_plans(), 8u);
+  EXPECT_THROW(session.run(stride0_model(rng), Tensor(3, 8, 8)),
+               std::invalid_argument);
+  EXPECT_EQ(session.cached_plans(), 8u);
+
+  serve::ServerConfig cfg;
+  cfg.max_models = 2;
+  serve::ServingRuntime rt(spec, cfg);
+  const serve::ModelHandle h0 = rt.load(models[0], 8, 8);
+  const serve::ModelHandle h1 = rt.load(models[1], 8, 8);
+  EXPECT_THROW(rt.load(stride0_model(rng), 8, 8), std::invalid_argument);
+  EXPECT_EQ(rt.loaded_count(), 2u);
+  EXPECT_NO_THROW((void)rt.model(h0));
+  EXPECT_NO_THROW((void)rt.model(h1));
+  // The failed load took no handle slot either: both still dedup.
+  EXPECT_EQ(rt.load(models[0], 8, 8), h0);
+  EXPECT_EQ(rt.load(models[1], 8, 8), h1);
+}
+
+// An evicted plan stays alive for whoever holds its shared_ptr, and runs
+// byte-identically to before the eviction; its handle is never reissued.
+TEST(PlanCacheTest, EvictedPlanKeepsRunningForItsHolder) {
+  Rng rng(407);
+  RunSpec spec;
+  spec.datapath = small_datapath();
+  spec.policy = mixed_policy();
+  spec.threads = 1;
+  const GraphModel a = tiny_model(rng);
+  const GraphModel b = tiny_model(rng);
+  const GraphModel c = tiny_model(rng);
+  const Tensor input = random_tensor(rng, 3, 8, 8, ValueDist::kHalfNormal, 1.0);
+  const RunReport expected = Session(spec).run(a, input);
+
+  serve::ServerConfig cfg;
+  cfg.max_models = 2;
+  serve::ServingRuntime rt(spec, cfg);
+  const serve::ModelHandle ha = rt.load(a, 8, 8);
+  const std::shared_ptr<const CompiledModel> held = rt.model(ha);
+  (void)rt.load(b, 8, 8);
+  (void)rt.load(c, 8, 8);
+  EXPECT_THROW((void)rt.model(ha), std::out_of_range);
+  const RunReport after = held->run(input);
+  EXPECT_EQ(after.output.data, expected.output.data);
+  EXPECT_EQ(after.to_json(), expected.to_json());
+
+  PlanCache cache(spec, 1);
+  const PlanCache::Entry first = cache.get(a, 8, 8);
+  (void)cache.get(b, 8, 8);
+  EXPECT_EQ(cache.find(first.handle), nullptr);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(first.plan->run(input).to_json(), expected.to_json());
+  // Reloading the evicted model compiles a new plan under a new handle.
+  EXPECT_NE(cache.get(a, 8, 8).handle, first.handle);
 }
 
 }  // namespace
