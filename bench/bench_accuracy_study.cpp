@@ -9,10 +9,11 @@
 //
 // Migrated onto the high-level API: the CNN (convs + ReLU/pool post-ops) is
 // one GraphModel chain, each precision point is one Session whose RunSpec
-// carries the datapath, and run_batch over the image batch replaces the
-// hand-wired per-image forward loops.  Results are also written to
-// BENCH_accuracy.json through RunReport's JSON emitter (the repo's single
-// JSON serializer).
+// carries the datapath, and one Session::run per image replaces the
+// hand-wired per-layer forward loops.  The FP32 reference logits come from
+// a separate Session on every core, once per image.  Results are also
+// written to BENCH_accuracy.json through RunReport's JSON emitter (the
+// repo's single JSON serializer).
 //
 //   ./bench_accuracy_study [--smoke]
 //     --smoke: small batch / fewer precision points (CI perf trajectory)
@@ -78,11 +79,15 @@ int main(int argc, char** argv) {
   }
 
   // The exact FP32 reference depends only on (model, image): compute it once
-  // here instead of once per precision point inside run().
+  // here instead of once per precision point inside run().  It is
+  // byte-identical for any thread count, so it runs on every core.
+  RunSpec ref_spec;
+  ref_spec.threads = 0;  // hardware_concurrency()
+  Session ref_session(ref_spec);
   std::vector<Tensor> ref_logits;
   std::vector<int> ref_labels;
   for (const Tensor& img : images) {
-    ref_logits.push_back(Session::reference(model, img));
+    ref_logits.push_back(ref_session.reference(model, img));
     ref_labels.push_back(argmax(ref_logits.back()));
   }
 
@@ -108,17 +113,20 @@ int main(int argc, char** argv) {
 
     RunOptions opts;
     opts.compare_reference = false;  // compared against the hoisted refs below
-    const BatchRunReport result = session.run_batch(model, images, opts);
     int agree = 0;
     double snr_sum = 0.0;
     int64_t mismatched = 0, total_logits = 0;
-    for (size_t i = 0; i < result.runs.size(); ++i) {
-      const AgreementStats st =
-          compare_outputs(result.runs[i].output, ref_logits[i]);
-      agree += argmax(result.runs[i].output) == ref_labels[i];
+    DatapathStats totals;
+    Json runs = Json::array();
+    for (size_t i = 0; i < images.size(); ++i) {
+      const RunReport run = session.run(model, images[i], opts);
+      const AgreementStats st = compare_outputs(run.output, ref_logits[i]);
+      agree += argmax(run.output) == ref_labels[i];
       snr_sum += st.snr_db;
       mismatched += st.mismatched_fp16;
       total_logits += st.total;
+      totals += run.totals;
+      runs.push(run.to_json_value());
     }
     const double top1 = static_cast<double>(agree) / batch;
     t.add_row({std::to_string(precision) + "b", bench::fmt_pct(top1, 1),
@@ -127,14 +135,19 @@ int main(int argc, char** argv) {
                               static_cast<double>(total_logits))});
 
     // One entry per precision point, serialized through the report emitter
-    // (totals + per-run layer stats/errors; tensors stay out of the file).
+    // (batch totals + per-run layer stats/errors; tensors stay out of the
+    // file).
+    Json batch_report = Json::object();
+    batch_report.set("batch", static_cast<int64_t>(images.size()))
+        .set("totals", to_json_value(totals))
+        .set("runs", std::move(runs));
     Json point = Json::object();
     point.set("ipu_precision", precision)
         .set("top1_agreement", top1)
         .set("mean_logit_snr_db", snr_sum / batch)
         .set("mismatched_fp16_fraction",
              static_cast<double>(mismatched) / static_cast<double>(total_logits))
-        .set("batch_report", result.to_json_value());
+        .set("batch_report", std::move(batch_report));
     points.push(std::move(point));
   }
   t.print();

@@ -80,10 +80,9 @@ struct SectionResult {
 };
 
 /// Single-thread requests/sec: the recompile-every-run baseline vs one
-/// CompiledModel, over the same request stream.  Templated so chain Models
-/// and GraphModels (the branchy ResNet-block section) share one harness.
-template <typename ModelT>
-SectionResult run_section(const ModelT& model, const RunSpec& spec,
+/// CompiledModel, over the same request stream.  Shared by the chain
+/// sections and the branchy ResNet-block section.
+SectionResult run_section(const GraphModel& model, const RunSpec& spec,
                           const std::vector<Tensor>& inputs, int requests) {
   RunOptions opts;
   opts.compare_reference = false;  // serving path: no FP32 shadow chain

@@ -1,6 +1,5 @@
 #include "api/compiled_model.h"
 
-#include <optional>
 #include <stdexcept>
 
 #include "core/simd/simd.h"
@@ -9,11 +8,6 @@
 namespace mpipu {
 
 namespace {
-
-/// Entries kept in the per-input reference-chain cache.  Sweeps re-running
-/// the same input (policy/config studies) hit entry 0 forever; anything
-/// streaming distinct inputs just rotates through without growing.
-constexpr size_t kMaxRefCacheEntries = 4;
 
 void check_compile_dims(const CompileOptions& opts) {
   if (opts.input_h <= 0 || opts.input_w <= 0) {
@@ -70,7 +64,6 @@ CompiledModel CompiledModel::compile(const GraphModel& model,
   cm.in_c_ = cm.topo_.input_c;
   cm.in_h_ = opts.input_h;
   cm.in_w_ = opts.input_w;
-  cm.ref_cache_ = std::make_shared<RefCache>();
 
   size_t n_convs = 0;
   for (const GraphNode& nd : cm.nodes_) {
@@ -153,31 +146,6 @@ void CompiledModel::validate_input(const Tensor& input) const {
   if (!mismatch.empty()) throw std::invalid_argument(mismatch);
 }
 
-std::shared_ptr<const std::vector<Tensor>> CompiledModel::reference_chain(
-    const Tensor& input, ThreadPool& pool) const {
-  {
-    MutexLock lock(ref_cache_->mu);
-    for (const auto& e : ref_cache_->entries) {
-      if (e.first == input.data) return e.second;
-    }
-  }
-  // Compute outside the lock: concurrent callers with distinct inputs must
-  // not serialize on the (expensive) reference convolutions.
-  auto refs = std::make_shared<std::vector<Tensor>>(
-      graph_reference_outputs(nodes_, topo_, input, pool));
-  MutexLock lock(ref_cache_->mu);
-  for (const auto& e : ref_cache_->entries) {
-    // A racing caller beat us to it; both chains are deterministic and
-    // identical -- keep theirs so the cache holds one entry per input.
-    if (e.first == input.data) return e.second;
-  }
-  if (ref_cache_->entries.size() >= kMaxRefCacheEntries) {
-    ref_cache_->entries.erase(ref_cache_->entries.begin());
-  }
-  ref_cache_->entries.emplace_back(input.data, refs);
-  return refs;
-}
-
 DatapathStats CompiledModel::exec_node(
     int id, std::vector<Tensor>& acts, ThreadPool& pool,
     std::span<const std::unique_ptr<Datapath>> units) const {
@@ -220,6 +188,7 @@ DatapathStats CompiledModel::exec_node(
 
 RunReport CompiledModel::run(const Tensor& input, const RunOptions& opts,
                              ThreadPool& pool) const {
+  validate_input(input);
   // Per-call scratch: one private datapath per worker slot.  The plans
   // themselves are only read.
   std::vector<std::unique_ptr<Datapath>> units;
@@ -227,13 +196,6 @@ RunReport CompiledModel::run(const Tensor& input, const RunOptions& opts,
   for (int slot = 0; slot < pool.size(); ++slot) {
     units.push_back(make_datapath(spec_.datapath));
   }
-  return run_with_units(input, opts, pool, units);
-}
-
-RunReport CompiledModel::run_with_units(
-    const Tensor& input, const RunOptions& opts, ThreadPool& pool,
-    std::span<const std::unique_ptr<Datapath>> units) const {
-  validate_input(input);
 
   RunReport report;
   report.model = name_;
@@ -241,8 +203,10 @@ RunReport CompiledModel::run_with_units(
   report.kernel_backend = simd::backend_name();
   report.threads = pool.size();
 
-  std::shared_ptr<const std::vector<Tensor>> refs;
-  if (opts.compare_reference) refs = reference_chain(input, pool);
+  std::vector<Tensor> refs;
+  if (opts.compare_reference) {
+    refs = graph_reference_outputs(nodes_, topo_, input, pool);
+  }
 
   std::vector<Tensor> acts(nodes_.size());
   acts[static_cast<size_t>(topo_.input_node)] = input;
@@ -259,16 +223,19 @@ RunReport CompiledModel::run_with_units(
                        ? compiled_[static_cast<size_t>(id)].precision_label
                        : graph_op_name(nd.op);
     lr.stats = exec_node(id, acts, pool, units);
-    if (refs) lr.error = compare_outputs(acts[static_cast<size_t>(id)],
-                                         (*refs)[static_cast<size_t>(id)]);
+    if (opts.compare_reference) {
+      lr.error = compare_outputs(acts[static_cast<size_t>(id)],
+                                 refs[static_cast<size_t>(id)]);
+    }
     report.totals += lr.stats;
     report.layers.push_back(std::move(lr));
   }
 
   report.output = std::move(acts[static_cast<size_t>(topo_.output_node)]);
-  if (refs) {
+  if (opts.compare_reference) {
     report.end_to_end = report.layers.back().error;
-    report.reference_output = (*refs)[static_cast<size_t>(topo_.output_node)];
+    report.reference_output =
+        std::move(refs[static_cast<size_t>(topo_.output_node)]);
   }
   if (opts.with_estimate) report.estimate = estimate();
   return report;
@@ -279,42 +246,6 @@ RunReport CompiledModel::run(const Tensor& input, const RunOptions& opts) const 
   // slot 0 runs inline -- so per-call construction costs nothing.
   ThreadPool pool(spec_.threads);
   return run(input, opts, pool);
-}
-
-BatchRunReport CompiledModel::run_batch(const std::vector<Tensor>& inputs,
-                                        const RunOptions& opts,
-                                        ThreadPool& pool) const {
-  // The estimate depends only on the compiled geometry: compute it once.
-  RunOptions per_run = opts;
-  per_run.with_estimate = false;
-  std::optional<NetworkSimResult> est;
-
-  // One set of per-slot datapaths for the whole batch: per-node stats are
-  // before/after deltas, so reuse across inputs is byte-identical to fresh
-  // units while skipping batch_size-1 rounds of scratch construction.
-  std::vector<std::unique_ptr<Datapath>> units;
-  units.reserve(static_cast<size_t>(pool.size()));
-  for (int slot = 0; slot < pool.size(); ++slot) {
-    units.push_back(make_datapath(spec_.datapath));
-  }
-
-  BatchRunReport batch;
-  batch.runs.reserve(inputs.size());
-  for (const Tensor& input : inputs) {
-    batch.runs.push_back(run_with_units(input, per_run, pool, units));
-    if (opts.with_estimate) {
-      if (!est.has_value()) est = estimate();
-      batch.runs.back().estimate = *est;
-    }
-    batch.totals += batch.runs.back().totals;
-  }
-  return batch;
-}
-
-BatchRunReport CompiledModel::run_batch(const std::vector<Tensor>& inputs,
-                                        const RunOptions& opts) const {
-  ThreadPool pool(spec_.threads);
-  return run_batch(inputs, opts, pool);
 }
 
 NetworkSimResult CompiledModel::estimate() const {

@@ -27,14 +27,16 @@
 // threads (stats are sums over a fixed op partition; every output element
 // is computed exactly once).
 //
-// run()/run_batch() are REENTRANT: every call builds its own scratch
-// (thread pool, per-slot datapaths, staged activation planes, stats) and
-// only reads the shared `const` plans, so any number of host threads may
-// call them concurrently on one CompiledModel.  Each call returns its own
+// run() is REENTRANT: every call builds its own scratch (per-slot
+// datapaths, staged activation planes, stats, the FP32 reference chain when
+// asked for) and only reads the shared `const` plans -- a CompiledModel
+// holds no mutable state and no lock -- so any number of host threads may
+// call it concurrently on one CompiledModel.  Each call returns its own
 // RunReport whose outputs, stats and cycles are byte-identical to what
 // Session::run produces for the same spec/model/input.  Stats are per-call
-// by construction.  This is the only code that runs a convolution on the
-// datapath: a single conv is a one-conv graph.
+// by construction.  run() is the only code that executes a forward, and so
+// the only code that runs a convolution on the datapath: a single conv is a
+// one-conv graph, and a batch is a loop over run().
 //
 // Session::run and ServingRuntime::load sit on top of this through one
 // exact-match plan cache (api/plan_cache.h).
@@ -43,14 +45,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "api/graph_model.h"
 #include "api/model.h"
 #include "api/run_report.h"
 #include "api/run_spec.h"
-#include "common/annotated_mutex.h"
 #include "common/thread_pool.h"
 #include "nn/conv_plan.h"
 
@@ -88,13 +88,6 @@ class CompiledModel {
   /// concurrent callers give each its own pool or use the overload above.
   RunReport run(const Tensor& input, const RunOptions& opts,
                 ThreadPool& pool) const;
-
-  /// Forward passes over a batch with the deterministic stats reduction of
-  /// Session::run_batch (and the estimate computed once, not per input).
-  BatchRunReport run_batch(const std::vector<Tensor>& inputs,
-                           const RunOptions& opts = {}) const;
-  BatchRunReport run_batch(const std::vector<Tensor>& inputs,
-                           const RunOptions& opts, ThreadPool& pool) const;
 
   /// Cycle-sim estimate of the compiled shape table on spec().tile with
   /// spec().datapath plugged in (what RunOptions.with_estimate attaches):
@@ -146,28 +139,7 @@ class CompiledModel {
     bool int_digits = true;  ///< INT mode: pack radix-16 digit planes?
   };
 
-  /// Per-input FP32 reference chain cache (one entry = the per-node
-  /// reference outputs of one exact input).  Behind a shared_ptr so the
-  /// CompiledModel stays movable; guarded by its own mutex so run() is
-  /// reentrant.
-  struct RefCache {
-    Mutex mu;
-    std::vector<std::pair<std::vector<double>,
-                          std::shared_ptr<const std::vector<Tensor>>>>
-        entries MPIPU_GUARDED_BY(mu);
-  };
-
-  /// run() with caller-provided per-slot datapath scratch.  run_batch
-  /// builds the units once and reuses them across the whole batch (exact:
-  /// per-node stats are before/after deltas over the units).
-  RunReport run_with_units(
-      const Tensor& input, const RunOptions& opts, ThreadPool& pool,
-      std::span<const std::unique_ptr<Datapath>> units) const;
   void validate_input(const Tensor& input) const;
-  /// The per-node FP32 reference outputs for `input`, from the cache or
-  /// computed on `pool` (the run's own pool, so never used twice at once).
-  std::shared_ptr<const std::vector<Tensor>> reference_chain(
-      const Tensor& input, ThreadPool& pool) const;
   /// Execute one non-input node on the whole pool: reads predecessor
   /// activations, writes acts[id] (post-ops applied) and returns the node's
   /// datapath stats (the before/after delta over `units`; zero for joins).
@@ -187,7 +159,6 @@ class CompiledModel {
   /// source graph's.
   Network shape_net_;
   uint64_t fingerprint_ = 0;
-  std::shared_ptr<RefCache> ref_cache_;
 };
 
 }  // namespace mpipu

@@ -165,8 +165,8 @@ class GraphModel {
 /// Per-node reference outputs of the exact FP32 chain mirrored over the
 /// graph (host-double convs + exact joins + post-ops), indexed by node id
 /// (the input node's slot is left empty).  THE reference forward pass for
-/// graphs: shared by CompiledModel's cached chain and Session::reference so
-/// the two can never drift.  This overload runs every conv on one thread.
+/// graphs: shared by CompiledModel::run and Session::reference so the two
+/// can never drift.  This overload runs every conv on one thread.
 std::vector<Tensor> graph_reference_outputs(const std::vector<GraphNode>& nodes,
                                             const GraphTopology& topo,
                                             const Tensor& input);

@@ -88,14 +88,4 @@ Json RunReport::to_json_value() const {
   return j;
 }
 
-Json BatchRunReport::to_json_value() const {
-  Json jruns = Json::array();
-  for (const RunReport& r : runs) jruns.push(r.to_json_value());
-  Json j = Json::object();
-  j.set("batch", static_cast<int64_t>(runs.size()))
-      .set("totals", mpipu::to_json_value(totals))
-      .set("runs", std::move(jruns));
-  return j;
-}
-
 }  // namespace mpipu

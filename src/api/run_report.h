@@ -9,6 +9,8 @@
 //   * NetworkSimResult -- simulated tile cycles (when requested), from the
 //                        same RunSpec config.
 //
+// Every forward yields exactly one RunReport; a batch is a loop over runs,
+// and a caller that wants batch totals sums the per-run totals itself.
 // to_json()/to_json_value() serialize through the single Json emitter
 // (api/json.h); benches that write result files compose these values
 // instead of hand-printing JSON.
@@ -47,17 +49,6 @@ struct RunReport {
   Tensor output;               ///< final activation tensor
   Tensor reference_output;     ///< exact FP32 chain output (when compared)
   std::optional<NetworkSimResult> estimate;  ///< cycle sim, when requested
-
-  Json to_json_value() const;
-  std::string to_json(int indent = 2) const { return to_json_value().dump(indent); }
-};
-
-/// Result of Session::run_batch: per-input reports plus the deterministic
-/// stats reduction over the batch (every counter is a sum of per-run sums,
-/// so the totals are identical for 1 and N threads).
-struct BatchRunReport {
-  std::vector<RunReport> runs;
-  DatapathStats totals;
 
   Json to_json_value() const;
   std::string to_json(int indent = 2) const { return to_json_value().dump(indent); }

@@ -23,18 +23,17 @@ CompiledModel Session::compile(const GraphModel& model,
   return CompiledModel::compile(model, spec_, opts);
 }
 
-RunReport Session::run_compiled(const CompiledModel& compiled,
-                                const Tensor& input, const RunOptions& opts) {
-  // The shared pool serves one run at a time (parallel_for is not
+template <typename F>
+auto Session::on_pool(F&& body) {
+  // The shared pool serves one call at a time (parallel_for is not
   // reentrant).  A concurrent caller finding it busy executes on a private
   // per-call pool of the same width instead of queueing -- byte-identical
   // output by thread-count invariance, and spec.threads == 1 (the serving
   // default) makes the fallback pool threadless and effectively free.
   TryMutexLock pool_lock(pool_mu_);
-  if (pool_lock.owns_lock()) {
-    return compiled.run(input, opts, pool_);
-  }
-  return compiled.run(input, opts);
+  if (pool_lock.owns_lock()) return body(pool_);
+  ThreadPool private_pool(spec_.threads);
+  return body(private_pool);
 }
 
 RunReport Session::run(const GraphModel& model, const Tensor& input,
@@ -45,9 +44,12 @@ RunReport Session::run(const GraphModel& model, const Tensor& input,
         "' carries no weights -- shape-only graphs are estimate-only; call "
         "materialize_weights() first");
   }
-  // The shared_ptr in the returned entry keeps the plan alive for this run
-  // even if another thread evicts it meanwhile.
-  return run_compiled(*plans_.get(model, input.h, input.w).plan, input, opts);
+  // The entry's shared_ptr keeps the plan alive for this run even if
+  // another thread evicts it meanwhile.
+  const PlanCache::Entry entry = plans_.get(model, input.h, input.w);
+  return on_pool([&](ThreadPool& pool) {
+    return entry.plan->run(input, opts, pool);
+  });
 }
 
 Tensor Session::reference(const GraphModel& model, const Tensor& input) {
@@ -64,42 +66,10 @@ Tensor Session::reference(const GraphModel& model, const Tensor& input) {
         " channels but graph '" + model.name() + "' expects " +
         std::to_string(topo.input_c));
   }
-  std::vector<Tensor> refs =
-      graph_reference_outputs(model.nodes(), topo, input);
+  std::vector<Tensor> refs = on_pool([&](ThreadPool& pool) {
+    return graph_reference_outputs(model.nodes(), topo, input, pool);
+  });
   return std::move(refs[static_cast<size_t>(topo.output_node)]);
-}
-
-BatchRunReport Session::run_batch(const GraphModel& model,
-                                  const std::vector<Tensor>& inputs,
-                                  const RunOptions& opts) {
-  // The estimate depends only on (model, input dims, spec): compute it once
-  // per distinct input shape instead of once per input.
-  RunOptions per_run = opts;
-  per_run.with_estimate = false;
-  std::vector<std::pair<std::pair<int, int>, NetworkSimResult>> estimates;
-
-  BatchRunReport batch;
-  batch.runs.reserve(inputs.size());
-  for (const Tensor& input : inputs) {
-    batch.runs.push_back(run(model, input, per_run));
-    if (opts.with_estimate) {
-      const std::pair<int, int> dims{input.h, input.w};
-      const NetworkSimResult* cached = nullptr;
-      for (const auto& e : estimates) {
-        if (e.first == dims) {
-          cached = &e.second;
-          break;
-        }
-      }
-      if (cached == nullptr) {
-        estimates.emplace_back(dims, estimate(model, input.h, input.w));
-        cached = &estimates.back().second;
-      }
-      batch.runs.back().estimate = *cached;
-    }
-    batch.totals += batch.runs.back().totals;
-  }
-  return batch;
 }
 
 NetworkSimResult Session::estimate(const GraphModel& model, int input_h,

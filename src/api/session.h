@@ -2,11 +2,11 @@
 // {datapath, tile, policy, threads} drives BOTH evaluation paths the paper
 // uses at network granularity:
 //
-//   * the numeric path -- Session::run / run_batch execute a GraphModel
-//     node by node on the bit-accurate datapath (activation tensors threaded
-//     between nodes, FP32 reference chain computed alongside), producing a
+//   * the numeric path -- Session::run executes a GraphModel node by node
+//     on the bit-accurate datapath (activation tensors threaded between
+//     nodes, FP32 reference chain computed alongside), producing a
 //     RunReport that unifies per-node DatapathStats, error metrics and (on
-//     request) simulated cycles;
+//     request) simulated cycles; a batch is a loop over run();
 //   * the analytical path -- Session::estimate costs the model's shape
 //     table (or any Network table) on the cycle simulator with the same
 //     datapath config plugged into the tile.
@@ -18,12 +18,12 @@
 // batches never re-pay the weight pipeline -- and executed on the
 // Session's shared ThreadPool.
 //
-// run()/run_batch() are thread-safe: the plan cache is guarded by its own
-// mutex (a shared_ptr pins each plan across LRU eviction), and concurrent
-// runs race for the shared pool -- the loser executes on a private
-// per-call pool of the same width, so outputs stay byte-identical either
-// way (thread-count invariance).  Use Session for conversational work --
-// one caller, ad-hoc models; call Session::compile and hold the
+// run() and reference() are thread-safe: the plan cache is guarded by its
+// own mutex (a shared_ptr pins each plan across LRU eviction), and
+// concurrent calls race for the shared pool -- the loser executes on a
+// private per-call pool of the same width, so outputs stay byte-identical
+// either way (thread-count invariance).  Use Session for conversational
+// work -- one caller, ad-hoc models; call Session::compile and hold the
 // CompiledModel yourself for serving -- weights prepared once at load
 // time, concurrent reentrant callers -- or put src/serve's ServingRuntime
 // in front for queueing, batching and SLO metrics.
@@ -78,15 +78,10 @@ class Session {
   /// post-ops) -- what run() compares against when
   /// RunOptions.compare_reference is set.  Exposed so drivers sweeping many
   /// datapath configs over the same inputs can compute it once instead of
-  /// once per sweep point.  Throws std::invalid_argument on a weightless
-  /// model or an input/model channel mismatch, like run().
-  static Tensor reference(const GraphModel& model, const Tensor& input);
-
-  /// Forward passes over a batch of inputs with deterministic stats
-  /// reduction (totals are sums of per-run sums).
-  BatchRunReport run_batch(const GraphModel& model,
-                           const std::vector<Tensor>& inputs,
-                           const RunOptions& opts = {});
+  /// once per sweep point.  Runs each conv on the session's pool, like
+  /// run(); byte-identical for any pool size.  Throws std::invalid_argument
+  /// on a weightless model or an input/model channel mismatch, like run().
+  Tensor reference(const GraphModel& model, const Tensor& input);
 
   /// Cycle-sim estimate of an explicit shape table (e.g. a
   /// workload/networks.h table) on spec().tile with spec().datapath
@@ -102,10 +97,10 @@ class Session {
   size_t cached_plans() const { return plans_.size(); }
 
  private:
-  /// Execute on the shared pool when it is free, else on a private
-  /// per-call pool of the same width (byte-identical either way).
-  RunReport run_compiled(const CompiledModel& compiled, const Tensor& input,
-                         const RunOptions& opts);
+  /// Call `body(pool)` on the shared pool when it is free, else on a
+  /// private per-call pool of the same width (byte-identical either way).
+  template <typename F>
+  auto on_pool(F&& body);
 
   RunSpec spec_;
   ThreadPool pool_;

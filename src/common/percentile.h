@@ -1,6 +1,7 @@
 // Nearest-rank percentiles and latency summaries -- the ONE definition
 // every serving report in the repo uses (ServerMetrics in src/serve, the
-// serving benches via bench/bench_util.h).
+// serving benches via bench/bench_util.h) -- plus the fixed-memory ring of
+// recent samples ServerMetrics summarizes.
 //
 // Nearest-rank: for integer percent p in (0, 100], the value at 1-based
 // rank ceil(p/100 * n) of the ascending-sorted sample.  Integer arithmetic
@@ -56,5 +57,40 @@ inline LatencySummary summarize_latencies(std::vector<double> samples) {
   s.max_s = samples.back();
   return s;
 }
+
+/// The most recent `capacity` samples in fixed memory: once full, each
+/// record() overwrites the oldest, so a digest over snapshot() follows the
+/// current traffic instead of freezing on the first samples ever seen.
+class LatencyRing {
+ public:
+  explicit LatencyRing(size_t capacity) : capacity_(capacity) {}
+
+  void record(double v) {
+    if (capacity_ == 0) return;
+    if (samples_.size() < capacity_) {
+      samples_.push_back(v);
+    } else {
+      samples_[next_] = v;
+    }
+    next_ = (next_ + 1) % capacity_;
+  }
+
+  /// The retained samples, oldest first.
+  std::vector<double> snapshot() const {
+    std::vector<double> out(samples_.begin() + static_cast<std::ptrdiff_t>(next_),
+                            samples_.end());
+    out.insert(out.end(), samples_.begin(),
+               samples_.begin() + static_cast<std::ptrdiff_t>(next_));
+    return out;
+  }
+
+  size_t size() const { return samples_.size(); }
+  size_t capacity() const { return capacity_; }
+
+ private:
+  size_t capacity_;
+  std::vector<double> samples_;
+  size_t next_ = 0;  ///< the slot the next record() writes
+};
 
 }  // namespace mpipu

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -9,10 +10,20 @@ namespace mpipu::serve {
 
 namespace {
 
-/// Latency samples kept for the percentile digest.  A runtime serving past
-/// this simply stops recording samples (counters keep counting); at bench
-/// and test scale the cap is never approached.
-constexpr size_t kMaxLatencySamples = 1u << 20;
+/// Completed-request latencies kept for the percentile digest: the most
+/// recent 2^16 (512 KB), overwritten oldest first.
+constexpr size_t kLatencyWindow = 1u << 16;
+
+/// Coalescing predicate: same shape and byte-identical data.  Execution is
+/// deterministic, so twins get byte-identical reports -- and a tensor that
+/// a direct run rejects never shares the fate of a valid one.
+bool same_tensor(const Tensor& a, const Tensor& b) {
+  return a.c == b.c && a.h == b.h && a.w == b.w &&
+         a.data.size() == b.data.size() &&
+         (a.data.empty() ||
+          std::memcmp(a.data.data(), b.data.data(),
+                      a.data.size() * sizeof(double)) == 0);
+}
 
 }  // namespace
 
@@ -43,7 +54,6 @@ Json ServerMetrics::to_json_value() const {
   j.set("conserved", conserved());
   j.set("coalesced", static_cast<double>(coalesced));
   j.set("batches", static_cast<double>(batches));
-  j.set("isolation_fallbacks", static_cast<double>(isolation_fallbacks));
   j.set("watchdog_stalls", static_cast<double>(watchdog_stalls));
   j.set("queue_high_water", static_cast<double>(queue_high_water));
   j.set("mean_batch_size", mean_batch_size);
@@ -71,7 +81,8 @@ Json ServerMetrics::to_json_value() const {
 ServingRuntime::ServingRuntime(RunSpec spec, ServerConfig cfg)
     : spec_(std::move(spec)),
       cfg_(std::move(cfg)),
-      plans_(spec_, cfg_.max_models) {
+      plans_(spec_, cfg_.max_models),
+      latencies_(kLatencyWindow) {
   if (cfg_.workers < 1) cfg_.workers = 1;
   if (cfg_.queue_capacity < 1) cfg_.queue_capacity = 1;
   if (cfg_.max_batch < 1) cfg_.max_batch = 1;
@@ -263,7 +274,7 @@ void ServingRuntime::maybe_inject_fault() {
 }
 
 void ServingRuntime::record_outcome(ModelHealth& health,
-                                    const SlotOutcome& outcome, bool probe,
+                                    const ExecOutcome& outcome, bool probe,
                                     double now) {
   switch (outcome.reason) {
     case RejectReason::kNone:
@@ -364,25 +375,16 @@ void ServingRuntime::execute_batch(std::vector<Pending>& batch,
   }
   if (live.empty()) return;
 
-  // Coalesce byte-identical inputs: every request maps to a slot in the
-  // unique-input list; duplicates reuse the first twin's execution.  Exact
-  // double equality on the raw data -- the same predicate the reference
-  // cache uses -- and execution is deterministic, so fan-out is exact.
-  std::vector<Tensor> inputs;
-  std::vector<size_t> slot_of(live.size());
-  if (cfg_.coalesce_identical) {
-    for (size_t i = 0; i < live.size(); ++i) {
-      size_t s = 0;
-      while (s < inputs.size() && inputs[s].data != live[i].input.data) ++s;
-      if (s == inputs.size()) inputs.push_back(live[i].input);
-      slot_of[i] = s;
-    }
-  } else {
-    inputs.reserve(live.size());
-    for (size_t i = 0; i < live.size(); ++i) {
-      inputs.push_back(live[i].input);
-      slot_of[i] = i;
-    }
+  // Coalesce identical inputs: twin_of[i] is the first request whose
+  // tensor equals request i's (i itself when there is none).  Only first
+  // twins execute; every later twin gets a copy of its first twin's report.
+  std::vector<size_t> twin_of(live.size());
+  std::vector<size_t> last_twin(live.size());
+  for (size_t i = 0; i < live.size(); ++i) {
+    size_t t = 0;
+    while (!same_tensor(live[t].input, live[i].input)) ++t;
+    twin_of[i] = t;
+    last_twin[t] = i;
   }
 
   const ModelHandle handle = live.front().handle;
@@ -397,55 +399,35 @@ void ServingRuntime::execute_batch(std::vector<Pending>& batch,
     active_execs_.push_back({exec_id, handle, dispatch_t});
   }
 
-  // One run_batch call for the whole window, on this worker's long-lived
-  // pool.  If ANYTHING throws out of it -- one bad input (admission
-  // validation off), an injected fault, a real execution failure -- the
-  // batch falls back to per-request execution so the failure is isolated:
-  // batchmates complete ok(), only the faulting request resolves with a
-  // typed error.  The worker itself never dies.
-  std::vector<SlotOutcome> outcomes(inputs.size());
-  BatchRunReport reports;
-  bool fell_back = false;
-  try {
-    maybe_inject_fault();
-    reports = model.run_batch(inputs, cfg_.run_options, pool);
-  } catch (...) {
-    fell_back = true;
-    reports.runs.clear();
-    reports.runs.resize(inputs.size());
-    for (size_t s = 0; s < inputs.size(); ++s) {
-      try {
-        maybe_inject_fault();
-        reports.runs[s] = model.run(inputs[s], cfg_.run_options, pool);
-      } catch (const std::invalid_argument& e) {
-        outcomes[s] = {RejectReason::kBadInput, e.what()};
-      } catch (const std::exception& e) {
-        outcomes[s] = {RejectReason::kExecError, e.what()};
-      } catch (...) {
-        outcomes[s] = {RejectReason::kExecError, "unknown execution failure"};
-      }
+  // Each distinct input executes exactly once, on this worker's long-lived
+  // pool, in its own try: a failure -- a bad input (admission validation
+  // off), an injected fault, a real execution error -- is charged to that
+  // input's requests only.  The worker itself never dies.
+  std::vector<RunReport> reports(live.size());
+  std::vector<ExecOutcome> outcomes(live.size());
+  for (size_t i = 0; i < live.size(); ++i) {
+    if (twin_of[i] != i) continue;
+    try {
+      maybe_inject_fault();
+      reports[i] = model.run(live[i].input, cfg_.run_options, pool);
+    } catch (const std::invalid_argument& e) {
+      outcomes[i] = {RejectReason::kBadInput, e.what()};
+    } catch (const std::exception& e) {
+      outcomes[i] = {RejectReason::kExecError, e.what()};
+    } catch (...) {
+      outcomes[i] = {RejectReason::kExecError, "unknown execution failure"};
     }
   }
   const double done_t = clock_->now();
   const double exec_s = done_t - dispatch_t;
   const bool stalled = cfg_.stall_budget_s > 0.0 && exec_s > cfg_.stall_budget_s;
 
-  // First twin of each slot executed; later twins are coalesced fan-outs.
-  std::vector<bool> was_coalesced(live.size(), false);
-  {
-    std::vector<bool> slot_used(inputs.size(), false);
-    for (size_t i = 0; i < live.size(); ++i) {
-      was_coalesced[i] = slot_used[slot_of[i]];
-      slot_used[slot_of[i]] = true;
-    }
-  }
-
   uint64_t n_ok = 0, n_exec_err = 0, n_bad = 0, coalesced_ok = 0;
   for (size_t i = 0; i < live.size(); ++i) {
-    switch (outcomes[slot_of[i]].reason) {
+    switch (outcomes[twin_of[i]].reason) {
       case RejectReason::kNone:
         ++n_ok;
-        if (was_coalesced[i]) ++coalesced_ok;
+        if (twin_of[i] != i) ++coalesced_ok;
         break;
       case RejectReason::kExecError: ++n_exec_err; break;
       case RejectReason::kBadInput: ++n_bad; break;
@@ -466,7 +448,7 @@ void ServingRuntime::execute_batch(std::vector<Pending>& batch,
     if (stalled) ++hh.stall_events;
     if (exec_s > hh.longest_exec_s) hh.longest_exec_s = exec_s;
     for (size_t i = 0; i < live.size(); ++i) {
-      record_outcome(hh, outcomes[slot_of[i]], live[i].probe, done_t);
+      record_outcome(hh, outcomes[twin_of[i]], live[i].probe, done_t);
     }
   }
 
@@ -480,41 +462,33 @@ void ServingRuntime::execute_batch(std::vector<Pending>& batch,
     counters_.shed_bad_input += n_bad;
     counters_.coalesced += coalesced_ok;
     ++counters_.batches;
-    if (fell_back) ++counters_.isolation_fallbacks;
     if (stalled) ++counters_.watchdog_stalls;
     const size_t b = std::min(live.size(),
                               counters_.batch_size_hist.size() - 1);
     ++counters_.batch_size_hist[b];
     for (size_t i = 0; i < live.size(); ++i) {
-      if (outcomes[slot_of[i]].reason == RejectReason::kNone &&
-          latencies_.size() < kMaxLatencySamples) {
-        latencies_.push_back(done_t - live[i].enqueue_t);
+      if (outcomes[twin_of[i]].reason == RejectReason::kNone) {
+        latencies_.record(done_t - live[i].enqueue_t);
       }
     }
   }
 
   for (size_t i = 0; i < live.size(); ++i) {
     Pending& p = live[i];
-    const SlotOutcome& oc = outcomes[slot_of[i]];
+    const size_t t = twin_of[i];
+    const ExecOutcome& oc = outcomes[t];
     ServeResult r;
     r.queue_wait_s = dispatch_t - p.enqueue_t;
     r.total_s = done_t - p.enqueue_t;
     if (oc.reason == RejectReason::kNone) {
       r.rejected = RejectReason::kNone;
       r.batch_size = static_cast<int>(live.size());
-      r.coalesced = was_coalesced[i];
-      // The last twin of each slot may move the report; earlier ones copy.
-      const bool last_use =
-          [&] {
-            for (size_t j = i + 1; j < live.size(); ++j) {
-              if (slot_of[j] == slot_of[i]) return false;
-            }
-            return true;
-          }();
-      if (last_use) {
-        r.report = std::move(reports.runs[slot_of[i]]);
+      r.coalesced = t != i;
+      // The last twin of each input moves the report; earlier ones copy.
+      if (last_twin[t] == i) {
+        r.report = std::move(reports[t]);
       } else {
-        r.report = reports.runs[slot_of[i]];
+        r.report = reports[t];
       }
     } else {
       r.rejected = oc.reason;
@@ -552,7 +526,7 @@ ServerMetrics ServingRuntime::metrics() const {
   {
     MutexLock lock(metrics_mu_);
     m = counters_;
-    lats = latencies_;
+    lats = latencies_.snapshot();
   }
   {
     MutexLock lock(mu_);

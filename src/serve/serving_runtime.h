@@ -2,7 +2,8 @@
 // caller has hand-rolled since the compile/run split (PR 4).
 //
 //   submit(handle, input) ──> bounded MPMC queue ──> batching window ──>
-//        N async workers ──> CompiledModel::run_batch ──> future<ServeResult>
+//        N async workers ──> CompiledModel::run per distinct input ──>
+//        future<ServeResult>
 //
 // The runtime owns:
 //   * a PlanCache (api/plan_cache.h, the same LRU Session runs on): load()
@@ -15,20 +16,21 @@
 //   * admission-time input validation: submit() checks the request tensor
 //     against the compiled geometry and resolves Rejected{kBadInput} on
 //     the spot, so a malformed request can never reach (let alone poison)
-//     a batch.  If a bad input does surface at execution anyway
-//     (validate_at_admission = false, or a genuine execution fault), the
-//     failure is ISOLATED: the batch re-executes per request, batchmates
-//     complete ok(), and only the faulting request resolves with a typed
-//     error;
+//     a batch;
 //   * a dynamic batching window per worker: the worker takes the oldest
 //     request as batch leader, gathers queued same-model requests up to
 //     `max_batch`, and optionally lingers `batch_window_s` for more before
-//     executing everything as ONE CompiledModel::run_batch call on the
-//     worker's long-lived pool.  Requests whose deadline passed by
-//     dispatch time are shed as Rejected{kDeadline} without executing;
-//   * dispatch-time coalescing: byte-identical same-model inputs inside a
-//     batch execute ONCE and fan the (deterministic, hence exact) report
-//     out to every twin;
+//     dispatching them together on the worker's long-lived pool.  Requests
+//     whose deadline passed by dispatch time are shed as Rejected{kDeadline}
+//     without executing;
+//   * dispatch-time coalescing: requests in a dispatch whose tensors are
+//     identical (same shape, byte-identical data) are twins.  Each distinct
+//     input executes exactly ONCE, as one CompiledModel::run in its own
+//     try/catch, and its (deterministic, hence exact) report fans out to
+//     every twin.  A failure -- a bad input that reached execution
+//     (validate_at_admission = false), an injected fault, a real execution
+//     error -- is charged to that input's requests only: batchmates
+//     complete ok() and nothing re-executes;
 //   * per-model health: a consecutive-failure circuit breaker (serve/
 //     health.h) sheds Rejected{kUnhealthy} in microseconds while a model
 //     keeps failing, half-open probes restore service after the cooldown;
@@ -36,8 +38,9 @@
 //     Both are visible in ServerMetrics (and its JSON);
 //   * deterministic fault injection (serve/fault.h): a seeded FaultPlan --
 //     configured or via MPIPU_FAULT -- can throw inside execution, delay a
-//     worker, or stall the batch window.  Compiled in always, no-op when
-//     absent; injected failures take the SAME paths as real ones;
+//     worker, or stall the batch window.  One FaultPlan attempt is one
+//     distinct input's execution.  Compiled in always, no-op when absent;
+//     injected failures take the SAME paths as real ones;
 //   * graceful shutdown: kDrain completes every accepted request first,
 //     kAbort finishes only in-flight batches and resolves everything still
 //     queued as Rejected{kShutdown}.
@@ -54,9 +57,9 @@
 // deadline/cooldown/backoff behavior is deterministic under a ManualClock.
 //
 // Batched execution is byte-identical to one-at-a-time CompiledModel::run
-// (outputs, per-layer stats, cycles): run_batch runs each input through the
-// same deterministic executor, and coalescing only ever reuses the report
-// of an identical input.  tests/test_serving_runtime.cpp pins the serving
+// (outputs, per-layer stats, cycles): it IS one CompiledModel::run per
+// distinct input, and coalescing only ever reuses the report of an
+// identical input.  tests/test_serving_runtime.cpp pins the serving
 // semantics; tests/test_serve_chaos.cpp pins the fault-tolerance contract
 // under randomized fault schedules.
 #pragma once
@@ -92,10 +95,10 @@ enum class RejectReason {
   kShutdown,   ///< runtime stopping: submitted after shutdown, or queued at
                ///< shutdown(kAbort)
   kBadInput,   ///< request tensor does not match the compiled geometry
-               ///< (shed at admission, or isolated at execution)
+               ///< (shed at admission, or failed its own execution)
   kUnhealthy,  ///< circuit breaker open for the model: failing fast
   kExecError,  ///< this request's execution failed (transient or injected
-               ///< fault); batchmates were isolated and completed
+               ///< fault); batchmates were unaffected
 };
 const char* reject_reason_name(RejectReason r);
 
@@ -108,8 +111,8 @@ struct ServerConfig {
   /// Per-model admission cap on QUEUED requests (0 = no cap): one model
   /// saturating the service cannot starve the others out of the queue.
   size_t per_model_queue_cap = 0;
-  /// Dynamic batching: a worker coalesces up to this many queued
-  /// same-model requests into one run_batch call.
+  /// Dynamic batching: a worker dispatches up to this many queued
+  /// same-model requests together.
   int max_batch = 8;
   /// How long the batch leader lingers for more same-model arrivals when
   /// the queue alone does not fill the batch.  0 = never wait (batch only
@@ -119,13 +122,10 @@ struct ServerConfig {
   /// the least-recently-used plan (in-flight requests keep it alive; its
   /// handle becomes invalid for new submissions).
   size_t max_models = 8;
-  /// Execute byte-identical same-model inputs in a batch once, fanning the
-  /// report out (exact: execution is deterministic).
-  bool coalesce_identical = true;
   /// Check request geometry against the compiled plan at submit() --
   /// Rejected{kBadInput} immediately, nothing bad ever queues.  Off, a bad
-  /// input surfaces at execution and exercises the per-request isolation
-  /// path instead (the regression tests do exactly that).
+  /// input surfaces at its own execution instead and resolves kBadInput
+  /// there (the regression tests do exactly that).
   bool validate_at_admission = true;
   /// Per-model circuit breaker (failure_threshold = 0 disables).
   CircuitBreakerConfig breaker;
@@ -187,16 +187,17 @@ struct ServerMetrics {
   uint64_t failed = 0;      ///< requests resolved kExecError
   uint64_t in_flight = 0;   ///< accepted (queued or executing), unresolved
   uint64_t coalesced = 0;   ///< completed requests served via an identical twin
-  uint64_t batches = 0;     ///< run_batch dispatches
-  uint64_t isolation_fallbacks = 0;  ///< batches re-executed per request
-  uint64_t watchdog_stalls = 0;      ///< dispatches past the stall budget
+  uint64_t batches = 0;     ///< dispatches (batches executed)
+  uint64_t watchdog_stalls = 0;  ///< dispatches past the stall budget
   size_t queue_high_water = 0;  ///< deepest the queue has been
   /// batch_size_hist[b] = batches that executed exactly b requests
   /// (index 0 unused).
   std::vector<uint64_t> batch_size_hist;
   /// Per-loaded-model health: breaker state, failure counts, stalls.
   std::vector<ModelHealthSnapshot> models;
-  LatencySummary latency;   ///< total_s of completed requests
+  /// total_s of the most recent 65,536 completed requests (older ones
+  /// roll off, so the percentiles follow current traffic).
+  LatencySummary latency;
   double elapsed_s = 0.0;   ///< since runtime construction
   double throughput_rps = 0.0;    ///< completed / elapsed
   double mean_batch_size = 0.0;   ///< completed / batches
@@ -272,8 +273,8 @@ class ServingRuntime {
     bool probe = false;  ///< admitted as a half-open breaker probe
     std::promise<ServeResult> promise;
   };
-  /// How one unique (post-coalescing) input slot fared at execution.
-  struct SlotOutcome {
+  /// How one distinct input fared at execution.
+  struct ExecOutcome {
     RejectReason reason = RejectReason::kNone;
     std::string error;
   };
@@ -296,7 +297,7 @@ class ServingRuntime {
   ModelHealth& health_entry(ModelHandle h) MPIPU_REQUIRES(health_mu_);
   /// Record one request's execution outcome in its model's health (caller
   /// holds health_mu_).
-  void record_outcome(ModelHealth& health, const SlotOutcome& outcome,
+  void record_outcome(ModelHealth& health, const ExecOutcome& outcome,
                       bool probe, double now) MPIPU_REQUIRES(health_mu_);
 
   RunSpec spec_;
@@ -329,13 +330,13 @@ class ServingRuntime {
   std::vector<ActiveExec> active_execs_ MPIPU_GUARDED_BY(health_mu_);
   uint64_t next_exec_id_ MPIPU_GUARDED_BY(health_mu_) = 0;
 
-  /// Counters and the latency record (guarded by metrics_mu_; never held
-  /// together with mu_).  Every submission is accounted under ONE lock
+  /// Counters and the recent-latency ring (guarded by metrics_mu_; never
+  /// held together with mu_).  Every submission is accounted under ONE lock
   /// acquisition -- submitted and its outcome (in_flight or a shed
   /// counter) move together, so conserved() holds at every instant.
   mutable Mutex metrics_mu_;
   ServerMetrics counters_ MPIPU_GUARDED_BY(metrics_mu_);
-  std::vector<double> latencies_ MPIPU_GUARDED_BY(metrics_mu_);
+  LatencyRing latencies_ MPIPU_GUARDED_BY(metrics_mu_);
 
   /// Serializes shutdown() and the destructor.  workers_ itself is written
   /// only single-threaded in the constructor and joined under shutdown_mu_,

@@ -105,7 +105,7 @@ TEST(CompiledModelTest, ByteIdenticalToSessionRunAllSchemesAndModes) {
   }
 }
 
-TEST(CompiledModelTest, WithEstimateMatchesSessionAndBatchComputesItOnce) {
+TEST(CompiledModelTest, WithEstimateMatchesSession) {
   Rng rng(32);
   const GraphModel model = tiny_model(rng);
   const Tensor input = random_tensor(rng, 3, 12, 12, ValueDist::kHalfNormal, 1.0);
@@ -123,11 +123,6 @@ TEST(CompiledModelTest, WithEstimateMatchesSessionAndBatchComputesItOnce) {
   ASSERT_TRUE(rc.estimate.has_value());
   EXPECT_EQ(rc.estimate->total_cycles, rs.estimate->total_cycles);
   EXPECT_EQ(rc.to_json(), rs.to_json());
-
-  const BatchRunReport batch = compiled.run_batch({input, input}, opts);
-  ASSERT_EQ(batch.runs.size(), 2u);
-  EXPECT_EQ(batch.runs[0].estimate->total_cycles, rs.estimate->total_cycles);
-  EXPECT_EQ(batch.runs[1].estimate->total_cycles, rs.estimate->total_cycles);
 }
 
 TEST(CompiledModelTest, ConcurrentCallersAreByteIdenticalToSerial) {

@@ -523,7 +523,7 @@ TEST(GraphModelTest, MaterializePreservesRealWeightsOnMixedBuilders) {
   EXPECT_EQ(listed.nodes(), g.nodes());
 }
 
-TEST(GraphModelTest, ReferenceAndBatchPaths) {
+TEST(GraphModelTest, ReferenceAndEstimatePaths) {
   GraphModel block = resnet_basic_block_graph(3, 5, 1, "refblock");
   block.materialize_weights(113);
   Rng rng(114);
@@ -541,20 +541,20 @@ TEST(GraphModelTest, ReferenceAndBatchPaths) {
   // Session::reference mirrors the graph exactly: it must equal the
   // reference_output the run report carries.
   const RunReport report = session.run(block, inputs[0]);
-  const Tensor ref = Session::reference(block, inputs[0]);
+  const Tensor ref = session.reference(block, inputs[0]);
   expect_tensors_identical(report.reference_output, ref, "reference");
 
+  // The estimate depends only on the model and the input dims: two runs on
+  // different inputs attach the same one.
   RunOptions opts;
   opts.with_estimate = true;
-  const BatchRunReport batch = session.run_batch(block, inputs, opts);
-  ASSERT_EQ(batch.runs.size(), 2u);
-  ASSERT_TRUE(batch.runs[0].estimate.has_value());
-  EXPECT_EQ(batch.runs[0].estimate->total_cycles,
-            batch.runs[1].estimate->total_cycles);
-  DatapathStats sum;
-  sum += batch.runs[0].totals;
-  sum += batch.runs[1].totals;
-  EXPECT_EQ(batch.totals, sum);
+  const RunReport r0 = session.run(block, inputs[0], opts);
+  const RunReport r1 = session.run(block, inputs[1], opts);
+  ASSERT_TRUE(r0.estimate.has_value());
+  ASSERT_TRUE(r1.estimate.has_value());
+  EXPECT_EQ(r0.estimate->total_cycles, r1.estimate->total_cycles);
+  EXPECT_EQ(r0.estimate->total_cycles,
+            session.estimate(block, 6, 6).total_cycles);
 }
 
 }  // namespace

@@ -176,10 +176,11 @@ TEST(GraphStress, PoolThreadCountNeverChangesResults) {
   }
 }
 
-TEST(GraphStress, ConcurrentCallersOnSharedSessionCompiledGraphViaRunBatch) {
-  // The Session facade path under load: run_batch on a multi-threaded pool
-  // shared by every node, repeated -- results must be stable across
-  // repeats (the compile cache serves one immutable plan throughout).
+TEST(GraphStress, ConcurrentCallersOnSharedSessionCompiledGraphViaRun) {
+  // The Session facade path under load: a batch of runs on a
+  // multi-threaded pool shared by every node, repeated -- results must be
+  // stable across repeats (the compile cache serves one immutable plan
+  // throughout).
   const GraphModel graph = stress_graph();
   Rng rng(0x57E58);
   std::vector<Tensor> inputs;
@@ -190,9 +191,11 @@ TEST(GraphStress, ConcurrentCallersOnSharedSessionCompiledGraphViaRunBatch) {
   spec.datapath = small_datapath(DecompositionScheme::kTemporal);
   spec.threads = 3;
   Session session(spec);
-  const BatchRunReport first = session.run_batch(graph, inputs);
-  const BatchRunReport second = session.run_batch(graph, inputs);
-  EXPECT_EQ(first.to_json(), second.to_json());
+  for (const Tensor& input : inputs) {
+    const RunReport first = session.run(graph, input);
+    const RunReport second = session.run(graph, input);
+    EXPECT_EQ(first.to_json(), second.to_json());
+  }
 }
 
 }  // namespace

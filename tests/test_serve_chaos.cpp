@@ -76,7 +76,6 @@ void run_chaos_scenario(uint64_t seed, ServingRuntime::Shutdown mode) {
   cfg.queue_capacity = (seed % 2 == 0) ? 8 : 32;
   cfg.max_batch = 1 << (seed % 3);  // 1, 2, 4
   cfg.batch_window_s = (seed % 2 == 0) ? 0.0 : 0.001;
-  cfg.coalesce_identical = (seed % 3 != 2);
   cfg.validate_at_admission = (seed % 2 == 0);
   cfg.breaker.failure_threshold = (seed % 2 == 0) ? 3 : 0;
   cfg.breaker.open_cooldown_s = 0.005;

@@ -12,8 +12,9 @@
 //    rejected immediately;
 //  * the load() plan cache: content dedup, LRU eviction, handle lifetime,
 //    and a typed load-time error (not a crash) for an invalid conv spec;
-//  * fault tolerance: admission-time bad-input shedding, per-request
-//    isolation of a poisoned batch, the circuit breaker's full
+//  * fault tolerance: admission-time bad-input shedding, a bad input or an
+//    execution fault charged to its own request only (each distinct input
+//    executes once; coalescing matches shape and data), the breaker's full
 //    open/half-open/closed cycle under a ManualClock, the watchdog's stall
 //    accounting, and shutdown racing a lingering batch window;
 //  * the conservation invariant -- every submission accounted for, exactly
@@ -21,8 +22,8 @@
 //  * FaultPlan schedule determinism and the MPIPU_FAULT grammar;
 //  * ServeClient retry/backoff/give-up behavior (virtual clock: the whole
 //    backoff schedule runs in zero wall time);
-//  * traffic synthesis (open-loop schedules) and the shared nearest-rank
-//    percentile helper.
+//  * traffic synthesis (open-loop schedules), the shared nearest-rank
+//    percentile helper and the recent-latency ring's overwrite order.
 //
 // Timing-dependent assertions are deliberately loose (>= 1 shed, counts
 // that add up) -- the tests must pass on any scheduler.
@@ -155,29 +156,6 @@ TEST(ServingRuntime, BatchedAndCoalescedResultsAreByteIdentical) {
   EXPECT_GE(m.queue_high_water, 2u);
   EXPECT_EQ(m.latency.count, m.completed);
   EXPECT_GE(m.latency.p99_s, m.latency.p50_s);
-}
-
-TEST(ServingRuntime, CoalescingOffStillByteIdentical) {
-  Rng rng(7002);
-  const GraphModel fast = fast_model(rng);
-  const Tensor input = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
-
-  ServerConfig cfg;
-  cfg.coalesce_identical = false;
-  cfg.max_batch = 4;
-  ServingRuntime rt(serving_spec(), cfg);
-  const ModelHandle h = rt.load(fast, 10, 10);
-  const RunReport want = rt.model(h)->run(input, cfg.run_options);
-
-  std::vector<std::future<ServeResult>> futs;
-  for (int i = 0; i < 8; ++i) futs.push_back(rt.submit(h, input));
-  for (auto& f : futs) {
-    ServeResult r = f.get();
-    ASSERT_TRUE(r.ok());
-    EXPECT_FALSE(r.coalesced);
-    EXPECT_EQ(r.report.output.data, want.output.data);
-  }
-  EXPECT_EQ(rt.metrics().coalesced, 0u);
 }
 
 TEST(ServingRuntime, SaturatingClientShedsQueueFull) {
@@ -404,8 +382,7 @@ TEST(ServingRuntime, MetricsJsonHasTheContractKeys) {
        {"\"submitted\"", "\"completed\"", "\"shed_queue_full\"",
         "\"shed_deadline\"", "\"shed_shutdown\"", "\"shed_bad_input\"",
         "\"shed_unhealthy\"", "\"failed\"", "\"in_flight\"", "\"conserved\"",
-        "\"coalesced\"", "\"batches\"", "\"isolation_fallbacks\"",
-        "\"watchdog_stalls\"", "\"queue_high_water\"", "\"batch_size_hist\"",
+        "\"coalesced\"", "\"batches\"", "\"watchdog_stalls\"", "\"queue_high_water\"", "\"batch_size_hist\"",
         "\"models\"", "\"breaker\"", "\"times_opened\"",
         "\"currently_stalled\"", "\"p50_s\"", "\"p95_s\"", "\"p99_s\"",
         "\"throughput_rps\""}) {
@@ -456,9 +433,9 @@ TEST(ServingFaults, BadBatchmateIsIsolatedNotPoisoning) {
   const Tensor good_b = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
   const Tensor bad = random_tensor(rng, 3, 8, 8, ValueDist::kHalfNormal, 1.0);
 
-  // The regression this pins: before per-request isolation, ONE bad input
-  // reaching run_batch failed every batchmate.  Admission validation is
-  // turned OFF so the bad tensor actually reaches execution.
+  // The regression this pins: ONE bad input reaching execution must not
+  // fail its batchmates.  Admission validation is turned OFF so the bad
+  // tensor actually reaches execution.
   ServerConfig cfg;
   cfg.workers = 1;
   cfg.max_batch = 4;
@@ -491,10 +468,120 @@ TEST(ServingFaults, BadBatchmateIsIsolatedNotPoisoning) {
   EXPECT_EQ(ra.batch_size, 3);  // all three shared the dispatch
 
   const ServerMetrics m = rt.metrics();
-  EXPECT_GE(m.isolation_fallbacks, 1u);
   EXPECT_EQ(m.shed_bad_input, 1u);
   EXPECT_EQ(m.completed, 3u);  // plug + the two good batchmates
   EXPECT_EQ(m.in_flight, 0u);
+  EXPECT_TRUE(m.conserved());
+}
+
+TEST(ServingFaults, CoalescingMatchesShapeNotJustData) {
+  Rng rng(7110);
+  const GraphModel slow = slow_model(rng);
+  const GraphModel fast = fast_model(rng);
+  const Tensor plug = random_tensor(rng, 3, 16, 16, ValueDist::kHalfNormal, 1.0);
+  const Tensor good_a = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
+  const Tensor good_b = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
+  // Same values as the good tensors, wrong shape: a direct run rejects them.
+  Tensor flat_a = good_a;
+  flat_a.c = 1;
+  flat_a.h = 1;
+  flat_a.w = 300;
+  Tensor flat_b = good_b;
+  flat_b.c = 1;
+  flat_b.h = 1;
+  flat_b.w = 300;
+
+  ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.max_batch = 4;
+  cfg.validate_at_admission = false;  // let the flat tensors reach execution
+  ServingRuntime rt(serving_spec(), cfg);
+  const ModelHandle hs = rt.load(slow, 16, 16);
+  const ModelHandle hf = rt.load(fast, 10, 10);
+  EXPECT_THROW((void)rt.model(hf)->run(flat_a, cfg.run_options),
+               std::invalid_argument);
+  const RunReport want_a = rt.model(hf)->run(good_a, cfg.run_options);
+  const RunReport want_b = rt.model(hf)->run(good_b, cfg.run_options);
+
+  // Plug the worker so both orders share one dispatch: the good tensor
+  // before its flat twin (a), and the flat tensor before its good twin (b).
+  std::future<ServeResult> plug_fut = rt.submit(hs, plug);
+  std::future<ServeResult> f_good_a = rt.submit(hf, good_a);
+  std::future<ServeResult> f_flat_a = rt.submit(hf, flat_a);
+  std::future<ServeResult> f_flat_b = rt.submit(hf, flat_b);
+  std::future<ServeResult> f_good_b = rt.submit(hf, good_b);
+  ASSERT_TRUE(plug_fut.get().ok());
+
+  const ServeResult r_good_a = f_good_a.get();
+  const ServeResult r_flat_a = f_flat_a.get();
+  const ServeResult r_flat_b = f_flat_b.get();
+  const ServeResult r_good_b = f_good_b.get();
+  EXPECT_EQ(r_flat_a.rejected, RejectReason::kBadInput);
+  EXPECT_EQ(r_flat_b.rejected, RejectReason::kBadInput);
+  ASSERT_TRUE(r_good_a.ok()) << reject_reason_name(r_good_a.rejected);
+  ASSERT_TRUE(r_good_b.ok()) << reject_reason_name(r_good_b.rejected);
+  EXPECT_EQ(r_good_a.batch_size, 4);  // all four shared the dispatch
+  EXPECT_FALSE(r_good_a.coalesced);
+  EXPECT_FALSE(r_good_b.coalesced);
+  EXPECT_EQ(r_good_a.report.output.data, want_a.output.data);
+  EXPECT_EQ(r_good_b.report.output.data, want_b.output.data);
+
+  const ServerMetrics m = rt.metrics();
+  EXPECT_EQ(m.shed_bad_input, 2u);
+  EXPECT_EQ(m.completed, 3u);  // plug + the two good tensors
+  EXPECT_EQ(m.coalesced, 0u);
+  EXPECT_TRUE(m.conserved());
+}
+
+TEST(ServingFaults, ExecFaultIsChargedToItsOwnRequestOnly) {
+  Rng rng(7111);
+  const GraphModel slow = slow_model(rng);
+  const GraphModel fast = fast_model(rng);
+  const Tensor plug = random_tensor(rng, 3, 16, 16, ValueDist::kHalfNormal, 1.0);
+  std::vector<Tensor> inputs;
+  for (int i = 0; i < 3; ++i) {
+    inputs.push_back(random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0));
+  }
+
+  // Attempt 0 is the plug; attempt 1, the first queued request's
+  // execution, throws.  Each distinct input is one attempt, so the other
+  // two run once each and nothing re-executes.
+  auto faults = std::make_shared<FaultPlan>(FaultPlan::Config{
+      .seed = 5, .throw_prob = 1.0, .first_attempt = 1, .last_attempt = 2});
+  ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.max_batch = 4;
+  cfg.faults = faults;
+  ServingRuntime rt(serving_spec(), cfg);
+  const ModelHandle hs = rt.load(slow, 16, 16);
+  const ModelHandle hf = rt.load(fast, 10, 10);
+  std::vector<RunReport> want;
+  for (const Tensor& in : inputs) {
+    want.push_back(rt.model(hf)->run(in, cfg.run_options));
+  }
+
+  std::future<ServeResult> plug_fut = rt.submit(hs, plug);
+  std::vector<std::future<ServeResult>> futs;
+  for (const Tensor& in : inputs) futs.push_back(rt.submit(hf, in));
+  ASSERT_TRUE(plug_fut.get().ok());
+
+  const ServeResult first = futs[0].get();
+  EXPECT_EQ(first.rejected, RejectReason::kExecError);
+  EXPECT_FALSE(first.error.empty());
+  for (size_t i = 1; i < futs.size(); ++i) {
+    const ServeResult r = futs[i].get();
+    ASSERT_TRUE(r.ok()) << "request " << i << ": "
+                        << reject_reason_name(r.rejected);
+    EXPECT_EQ(r.batch_size, 3);
+    EXPECT_EQ(r.report.output.data, want[i].output.data) << "request " << i;
+    EXPECT_EQ(to_json_value(r.report.totals).dump(0),
+              to_json_value(want[i].totals).dump(0));
+  }
+
+  EXPECT_EQ(faults->attempts(), 4u);  // plug + one per distinct input
+  const ServerMetrics m = rt.metrics();
+  EXPECT_EQ(m.failed, 1u);
+  EXPECT_EQ(m.completed, 3u);  // plug + the two unfaulted requests
   EXPECT_TRUE(m.conserved());
 }
 
@@ -893,12 +980,11 @@ TEST(ServeClientUnit, RetriesThroughTransientFaultsThenGivesUp) {
   const Tensor input = random_tensor(rng, 3, 10, 10, ValueDist::kHalfNormal, 1.0);
   const Tensor bad = random_tensor(rng, 3, 8, 8, ValueDist::kHalfNormal, 1.0);
 
-  // Each serve() burns two fault-plan attempts when it fails (the batch
-  // attempt, then the per-request isolation attempt): until=4 means the
-  // first two calls fail and the third succeeds.
+  // Each serve() is one execution, so one fault-plan attempt: until=2
+  // means the first two calls fail and the third succeeds.
   ManualClock clock;
   auto faults = std::make_shared<FaultPlan>(
-      FaultPlan::Config{.seed = 3, .throw_prob = 1.0, .last_attempt = 4});
+      FaultPlan::Config{.seed = 3, .throw_prob = 1.0, .last_attempt = 2});
   ServerConfig cfg;
   cfg.workers = 1;
   cfg.max_batch = 1;
@@ -1030,6 +1116,29 @@ TEST(Percentile, NearestRankMatchesTheDefinition) {
   EXPECT_EQ(s.p99_s, 3.0);
   EXPECT_EQ(s.max_s, 3.0);
   EXPECT_NEAR(s.mean_s, 2.0, 1e-12);
+}
+
+TEST(Percentile, LatencyRingKeepsTheMostRecentSamples) {
+  LatencyRing ring(4);
+  EXPECT_TRUE(ring.snapshot().empty());
+  ring.record(1.0);
+  ring.record(2.0);
+  EXPECT_EQ(ring.snapshot(), (std::vector<double>{1.0, 2.0}));
+  ring.record(3.0);
+  ring.record(4.0);
+  EXPECT_EQ(ring.snapshot(), (std::vector<double>{1.0, 2.0, 3.0, 4.0}));
+  // Past capacity each sample overwrites the oldest: 5 replaces 1, 6
+  // replaces 2, and the snapshot stays oldest first.
+  ring.record(5.0);
+  EXPECT_EQ(ring.snapshot(), (std::vector<double>{2.0, 3.0, 4.0, 5.0}));
+  ring.record(6.0);
+  EXPECT_EQ(ring.snapshot(), (std::vector<double>{3.0, 4.0, 5.0, 6.0}));
+  for (double v : {7.0, 8.0, 9.0}) ring.record(v);
+  EXPECT_EQ(ring.snapshot(), (std::vector<double>{6.0, 7.0, 8.0, 9.0}));
+  EXPECT_EQ(ring.size(), 4u);
+  EXPECT_EQ(ring.capacity(), 4u);
+  // The digest follows the recent window, not the first samples seen.
+  EXPECT_EQ(summarize_latencies(ring.snapshot()).p50_s, 7.0);
 }
 
 }  // namespace

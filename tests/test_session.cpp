@@ -3,14 +3,15 @@
 //  * Session::run is bit-exact (outputs and DatapathStats) vs the
 //    equivalent layer chain hand-wired on the independent per-op oracle
 //    (tests/conv_oracle.h);
-//  * run_batch determinism: 1 thread and N threads produce identical
-//    output tensors and identical stats reductions;
+//  * thread-count determinism: over a batch of inputs, 1 thread and N
+//    threads produce identical output tensors and identical stats;
 //  * PrecisionPolicy dispatch: INT layers on the FP-only spatial datapath
 //    are rejected with a clear error before anything executes;
 //  * Session::estimate reproduces simulate_network for the same config
 //    (one RunSpec drives both paths);
 //  * RunReport JSON emission;
-//  * Session::reference rejects an input/model channel mismatch, like run;
+//  * Session::reference (on the session's pool) rejects an input/model
+//    channel mismatch, like run;
 //  * the one plan cache (api/plan_cache.h) behind Session::run and
 //    ServingRuntime::load: concurrent runs, a compile that throws at
 //    capacity evicts nothing, and an evicted plan keeps running for the
@@ -111,7 +112,7 @@ TEST(SessionRun, BitExactVsPerOpOracleChain) {
   EXPECT_GT(report.end_to_end.snr_db, 20.0);
 }
 
-TEST(SessionRunBatch, ThreadCountInvariantTensorsAndStats) {
+TEST(SessionRun, ThreadCountInvariantTensorsAndStats) {
   Rng rng(22);
   const GraphModel model = tiny_model(rng);
   std::vector<Tensor> inputs;
@@ -127,14 +128,10 @@ TEST(SessionRunBatch, ThreadCountInvariantTensorsAndStats) {
   spec.threads = 3;
   Session s3(spec);
 
-  const BatchRunReport b1 = s1.run_batch(model, inputs);
-  const BatchRunReport b3 = s3.run_batch(model, inputs);
-  ASSERT_EQ(b1.runs.size(), inputs.size());
-  ASSERT_EQ(b3.runs.size(), inputs.size());
-  EXPECT_EQ(b1.totals, b3.totals);
   for (size_t r = 0; r < inputs.size(); ++r) {
-    const RunReport& r1 = b1.runs[r];
-    const RunReport& r3 = b3.runs[r];
+    const RunReport r1 = s1.run(model, inputs[r]);
+    const RunReport r3 = s3.run(model, inputs[r]);
+    EXPECT_EQ(r1.totals, r3.totals) << "run " << r;
     ASSERT_EQ(r1.output.data.size(), r3.output.data.size());
     for (size_t i = 0; i < r1.output.data.size(); ++i) {
       EXPECT_EQ(r1.output.data[i], r3.output.data[i]) << "run " << r << " elt " << i;
@@ -280,11 +277,6 @@ TEST(RunReportJson, EmitsStructuredDocument) {
   }
   // Compact mode emits no newlines.
   EXPECT_EQ(report.to_json(0).find('\n'), std::string::npos);
-
-  BatchRunReport batch = session.run_batch(model, {input});
-  const std::string bjson = batch.to_json();
-  EXPECT_NE(bjson.find("\"batch\""), std::string::npos);
-  EXPECT_NE(bjson.find("\"runs\""), std::string::npos);
 }
 
 // Regression: Session::reference skipped run()'s channel check, so a
@@ -296,11 +288,14 @@ TEST(SessionReference, RejectsChannelMismatchLikeRun) {
   const GraphModel model = tiny_model(rng);  // reads 3 channels
   GraphModel graph = resnet_basic_block_graph(4, 6, 2);  // reads 4
   graph.materialize_weights(28);
+  RunSpec spec;
+  spec.threads = 2;
+  Session session(spec);
 
   for (const int c : {2, 8}) {
     const Tensor input = random_tensor(rng, c, 6, 6, ValueDist::kHalfNormal, 1.0);
     try {
-      (void)Session::reference(model, input);
+      (void)session.reference(model, input);
       ADD_FAILURE() << "model: expected std::invalid_argument for " << c;
     } catch (const std::invalid_argument& e) {
       EXPECT_EQ(std::string(e.what()),
@@ -308,7 +303,7 @@ TEST(SessionReference, RejectsChannelMismatchLikeRun) {
                     " channels but graph 'tiny3' expects 3");
     }
     try {
-      (void)Session::reference(graph, input);
+      (void)session.reference(graph, input);
       ADD_FAILURE() << "graph: expected std::invalid_argument for " << c;
     } catch (const std::invalid_argument& e) {
       EXPECT_EQ(std::string(e.what()),
@@ -318,12 +313,12 @@ TEST(SessionReference, RejectsChannelMismatchLikeRun) {
   }
 
   // Matching inputs are unaffected.
-  EXPECT_EQ(Session::reference(model, random_tensor(rng, 3, 6, 6,
-                                                    ValueDist::kHalfNormal, 1.0))
+  EXPECT_EQ(session.reference(model, random_tensor(rng, 3, 6, 6,
+                                                   ValueDist::kHalfNormal, 1.0))
                 .c,
             4);
-  EXPECT_EQ(Session::reference(graph, random_tensor(rng, 4, 6, 6,
-                                                    ValueDist::kHalfNormal, 1.0))
+  EXPECT_EQ(session.reference(graph, random_tensor(rng, 4, 6, 6,
+                                                   ValueDist::kHalfNormal, 1.0))
                 .c,
             6);
 }
