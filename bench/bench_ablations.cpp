@@ -33,12 +33,12 @@ void ablation_ehu_serve_loop() {
                   "saving"});
   Rng rng(901);
   for (int w : {12, 14, 16, 20}) {
-    IpuConfig sweep_cfg;
+    DatapathConfig sweep_cfg;
     sweep_cfg.n_inputs = 16;
     sweep_cfg.adder_tree_width = w;
     sweep_cfg.software_precision = 28;
     sweep_cfg.multi_cycle = true;
-    IpuConfig skip_cfg = sweep_cfg;
+    DatapathConfig skip_cfg = sweep_cfg;
     skip_cfg.skip_empty_bands = true;
     Ipu sweep_ipu(sweep_cfg), skip_ipu(skip_cfg);
     for (int trial = 0; trial < 2000; ++trial) {
@@ -64,7 +64,7 @@ void ablation_accumulator_width() {
   bench::Table t({"frac bits", "median ARE % (FP32 out)", "p99 ARE %"});
   Rng rng(902);
   for (int frac : {16, 20, 24, 28, 30, 34, 40}) {
-    IpuConfig cfg;
+    DatapathConfig cfg;
     cfg.n_inputs = 16;
     cfg.adder_tree_width = 28;
     cfg.software_precision = 28;
@@ -94,7 +94,7 @@ void ablation_rounding_model() {
   bench::Table t({"n", "IPU(28) mean |err|", "FMA-chain mean |err|", "chain/IPU"});
   Rng rng(903);
   for (int n : {8, 16, 64, 256}) {
-    IpuConfig cfg;
+    DatapathConfig cfg;
     cfg.n_inputs = n;
     cfg.adder_tree_width = 28;
     cfg.software_precision = 28;
@@ -127,13 +127,13 @@ void ablation_sparsity() {
   bench::Table t({"activation sparsity", "cycles vs dense datapath", "skipped iters"});
   Rng rng(904);
   for (double s : {0.0, 0.25, 0.5, 0.75, 0.9}) {
-    IpuConfig cfg;
+    DatapathConfig cfg;
     cfg.n_inputs = 16;
     cfg.adder_tree_width = 16;
     cfg.software_precision = 28;
     cfg.multi_cycle = true;
     cfg.skip_zero_iterations = true;
-    IpuConfig dense_cfg = cfg;
+    DatapathConfig dense_cfg = cfg;
     dense_cfg.skip_zero_iterations = false;
     Ipu ipu(cfg), dense(dense_cfg);
     for (int trial = 0; trial < 2000; ++trial) {
@@ -163,7 +163,7 @@ void ablation_masking() {
                   "masked products"});
   Rng rng(905);
   for (int P : {8, 12, 16, 20, 24, 28, 40}) {
-    IpuConfig cfg;
+    DatapathConfig cfg;
     cfg.n_inputs = 16;
     cfg.adder_tree_width = 12;
     cfg.software_precision = P;

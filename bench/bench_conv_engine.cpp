@@ -44,7 +44,7 @@ namespace {
 /// The seed's single-threaded conv loop: one Ipu, operands re-rounded to
 /// FP16 for every output pixel that touches them.
 Tensor legacy_conv_ipu_fp16(const Tensor& input, const FilterBank& filters,
-                            const ConvSpec& spec, const IpuConfig& ipu_cfg,
+                            const ConvSpec& spec, const DatapathConfig& ipu_cfg,
                             AccumKind accum) {
   const int ho = spec.out_dim(input.h, filters.kh);
   const int wo = spec.out_dim(input.w, filters.kw);
@@ -78,8 +78,8 @@ Tensor legacy_conv_ipu_fp16(const Tensor& input, const FilterBank& filters,
         }
         flush();
         out.at(co, y, x) = accum == AccumKind::kFp16
-                               ? ipu.read_fp<kFp16Format>().to_double()
-                               : ipu.read_fp<kFp32Format>().to_double();
+                               ? ipu.read_fp16().to_double()
+                               : ipu.read_fp32().to_double();
       }
     }
   }
@@ -117,70 +117,38 @@ struct PatchIndices {
   }
 };
 
-/// One per-op unit: reset / accumulate-a-chunk / read, plus the counters
-/// the bit-identity check compares against the compiled path.  Owns the
-/// underlying scheme instance (only the scheme under test is constructed).
+/// One per-op unit: the scheme instance under test (reset, readout and the
+/// counters the bit-identity check compares come from its Datapath base)
+/// and its per-op oracle entry, which accumulates one chunk.
 struct PerOpUnit {
-  std::shared_ptr<void> holder;
-  std::function<void()> reset;
+  std::unique_ptr<Datapath> unit;
   std::function<void(std::span<const Fp16>, std::span<const Fp16>)> accumulate;
-  std::function<double()> read_fp32;
-  std::function<int64_t()> cycles;
-  std::function<int64_t()> fp_ops;
 };
 
+template <typename Unit, typename Accumulate>
+PerOpUnit per_op_unit(const DatapathConfig& cfg, Accumulate accumulate) {
+  auto unit = std::make_unique<Unit>(cfg);
+  Unit* u = unit.get();
+  return {std::move(unit),
+          [u, accumulate](std::span<const Fp16> a, std::span<const Fp16> b) {
+            accumulate(*u, a, b);
+          }};
+}
+
 PerOpUnit make_per_op_unit(const DatapathConfig& cfg) {
+  using Span = std::span<const Fp16>;
   switch (cfg.scheme) {
-    case DecompositionScheme::kTemporal: {
-      IpuConfig c;
-      c.n_inputs = cfg.n_inputs;
-      c.adder_tree_width = cfg.effective_adder_tree_width();
-      c.software_precision = cfg.software_precision;
-      c.multi_cycle = cfg.multi_cycle;
-      c.skip_empty_bands = cfg.skip_empty_bands;
-      auto ipu = std::make_shared<Ipu>(c);
-      return {ipu,
-              [ipu] { ipu->reset_accumulator(); },
-              [ipu](std::span<const Fp16> a, std::span<const Fp16> b) {
-                ipu->fp_accumulate<kFp16Format>(a, b);
-              },
-              [ipu] { return ipu->read_fp<kFp32Format>().to_double(); },
-              [ipu] { return ipu->stats().cycles; },
-              [ipu] { return ipu->stats().fp_ops; }};
-    }
-    case DecompositionScheme::kSerial: {
-      SerialIpuConfig c;
-      c.n_inputs = cfg.n_inputs;
-      c.adder_tree_width = cfg.effective_adder_tree_width();
-      c.software_precision = cfg.software_precision;
-      c.multi_cycle = cfg.multi_cycle;
-      auto ipu = std::make_shared<SerialIpu>(c);
-      return {ipu,
-              [ipu] { ipu->reset_accumulator(); },
-              [ipu](std::span<const Fp16> a, std::span<const Fp16> b) {
-                ipu->fp_accumulate(a, b);
-              },
-              [ipu] { return ipu->read_fp<kFp32Format>().to_double(); },
-              [ipu] { return ipu->stats().cycles; },
-              [ipu] { return ipu->stats().fp_ops; }};
-    }
-    case DecompositionScheme::kSpatial: {
-      SpatialIpuConfig c;
-      c.n_inputs = cfg.n_inputs;
-      c.adder_tree_width = cfg.effective_adder_tree_width();
-      c.software_precision = cfg.software_precision;
-      c.multi_cycle = cfg.multi_cycle;
-      c.skip_empty_bands = cfg.skip_empty_bands;
-      auto ipu = std::make_shared<SpatialIpu>(c);
-      return {ipu,
-              [ipu] { ipu->reset_accumulator(); },
-              [ipu](std::span<const Fp16> a, std::span<const Fp16> b) {
-                ipu->fp_accumulate<kFp16Format>(a, b);
-              },
-              [ipu] { return ipu->read_fp<kFp32Format>().to_double(); },
-              [ipu] { return ipu->stats().cycles; },
-              [ipu] { return ipu->stats().fp_ops; }};
-    }
+    case DecompositionScheme::kTemporal:
+      return per_op_unit<Ipu>(cfg, [](Ipu& u, Span a, Span b) {
+        u.fp_accumulate<kFp16Format>(a, b);
+      });
+    case DecompositionScheme::kSerial:
+      return per_op_unit<SerialIpu>(
+          cfg, [](SerialIpu& u, Span a, Span b) { u.fp_accumulate(a, b); });
+    case DecompositionScheme::kSpatial:
+      return per_op_unit<SpatialIpu>(cfg, [](SpatialIpu& u, Span a, Span b) {
+        u.fp_accumulate<kFp16Format>(a, b);
+      });
   }
   return {};
 }
@@ -225,14 +193,14 @@ Tensor per_op_conv_fp16(const PerOpUnit& unit, int n_inputs, const Tensor& input
             flt16[base +
                   static_cast<size_t>(patch.filter_off[static_cast<size_t>(t)])];
       }
-      unit.reset();
+      unit.unit->reset_accumulator();
       for (int c0 = 0; c0 < len; c0 += n_inputs) {
         const auto chunk = static_cast<size_t>(std::min(n_inputs, len - c0));
         unit.accumulate(
             std::span<const Fp16>(pa).subspan(static_cast<size_t>(c0), chunk),
             std::span<const Fp16>(pb).subspan(static_cast<size_t>(c0), chunk));
       }
-      out.at(co, y, x) = unit.read_fp32();
+      out.at(co, y, x) = unit.unit->read_fp32().to_double();
     }
   }
   return out;
@@ -329,7 +297,7 @@ int main(int argc, char** argv) {
   int rc = 0;
 
   // Legacy seed loop: temporal only (the seed had no other scheme).
-  IpuConfig icfg;
+  DatapathConfig icfg;
   icfg.n_inputs = 16;
   icfg.adder_tree_width = 16;
   icfg.software_precision = 28;
@@ -349,8 +317,7 @@ int main(int argc, char** argv) {
     cfg.software_precision = 28;
     cfg.multi_cycle = true;
 
-    // A direct scheme instance behind the per-op baseline (the PR 2 engine
-    // drove these exact entry points through its virtual wrapper).
+    // The scheme class's per-op oracle entry behind the per-op baseline.
     const PerOpUnit unit = make_per_op_unit(cfg);
 
     Tensor per_op_out;
@@ -367,8 +334,8 @@ int main(int argc, char** argv) {
         [&] { return compile_and_run(model, input, rs); }, &prep1);
 
     bool identical = tensors_identical(per_op_out, prep1.output) &&
-                     unit.cycles() == prep1.totals.cycles &&
-                     unit.fp_ops() == prep1.totals.fp_ops;
+                     unit.unit->stats().cycles == prep1.totals.cycles &&
+                     unit.unit->stats().fp_ops == prep1.totals.fp_ops;
     double t_prephw = 0.0;
     if (run_hw) {
       rs.threads = hw;

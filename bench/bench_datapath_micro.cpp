@@ -42,7 +42,7 @@ BENCHMARK(BM_ExactReferenceInnerProduct)->Arg(8)->Arg(16)->Arg(64);
 
 void BM_IpuFpAccumulate(benchmark::State& state) {
   Rng rng(3);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = static_cast<int>(state.range(0));
   cfg.adder_tree_width = static_cast<int>(state.range(1));
   cfg.software_precision = 28;
@@ -58,7 +58,7 @@ BENCHMARK(BM_IpuFpAccumulate)->Args({8, 12})->Args({16, 12})->Args({16, 28})->Ar
 
 void BM_IpuIntAccumulate(benchmark::State& state) {
   Rng rng(4);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 16;
   Ipu ipu(cfg);
   std::vector<int32_t> a, b;

@@ -72,8 +72,12 @@ int main() {
       for (int cluster : {1, 4, big ? 64 : 32}) {
         DesignConfig d = proposed_design(w, cluster, big);
         const double slowdown = fp_slowdown(d.tile, big, opts);
-        add_design("(" + std::to_string(w) + "," + std::to_string(cluster) + ")", d,
-                   slowdown);
+        std::string label = "(";
+        label += std::to_string(w);
+        label += ",";
+        label += std::to_string(cluster);
+        label += ")";
+        add_design(label, d, slowdown);
       }
     }
     t.print();

@@ -48,7 +48,7 @@ template <FpFormat AccF>
 PointResult run_point(const DistCase& c, int precision, int n, int samples,
                       uint64_t seed) {
   Rng rng(seed);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = n;
   cfg.adder_tree_width = precision;
   cfg.software_precision = precision;

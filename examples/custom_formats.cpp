@@ -26,7 +26,7 @@ void demo_format(const char* name, Ipu& ipu, Rng& rng) {
   }
   ipu.reset_accumulator();
   const int cycles = ipu.fp_accumulate<F>(a, b);
-  const double got = ipu.read_fp<kFp32Format>().to_double();
+  const double got = ipu.read_fp32().to_double();
   const double want =
       exact_fp_inner_product_rounded<F, kFp32Format>(a, b).to_double();
   const int kn = fp_nibble_count(F);
@@ -41,7 +41,7 @@ int main() {
   std::printf("== One datapath, five data types ==\n\n");
   std::printf("%-10s  format   decomposition        cycles   value\n", "type");
 
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 16;
   cfg.adder_tree_width = 28;
   // BF16/TF32 products span ~500 exponent values; widen the honored
@@ -70,7 +70,7 @@ int main() {
   const int cycles = ipu.fp_int_accumulate<kFp16Format>(act, wgt, 4);
   std::printf("%-10s  fp16xint4 3x1=3 nibble iters   %2d cycles  result %-11g "
               "(exact %g)\n",
-              "hybrid", cycles, ipu.read_fp<kFp32Format>().to_double(), expect);
+              "hybrid", cycles, ipu.read_fp32().to_double(), expect);
 
   std::printf("\nIteration counts are the whole cost story: FP8 runs 9x faster than\n");
   std::printf("FP16, hybrid FP16xINT4 3x faster -- on unchanged hardware.\n");

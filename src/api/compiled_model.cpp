@@ -70,9 +70,10 @@ CompiledModel CompiledModel::compile(const GraphModel& model,
     if (nd.op == GraphNode::Op::kConv) ++n_convs;
   }
 
-  // Resolve and validate the whole policy up front: an unsupported INT
-  // layer must be rejected at compile time, before anything is baked.
-  std::unique_ptr<Datapath> probe;
+  // Validate the datapath config and the whole policy up front: a bad
+  // config (building the probe unit throws) or an unsupported INT layer
+  // must be rejected at compile time, before anything is baked.
+  const std::unique_ptr<Datapath> probe = make_datapath(spec.datapath);
   cm.precisions_.reserve(n_convs);
   for (int id : cm.topo_.order) {
     const GraphNode& nd = cm.nodes_[static_cast<size_t>(id)];
@@ -81,7 +82,6 @@ CompiledModel CompiledModel::compile(const GraphModel& model,
         spec.policy.resolve(cm.precisions_.size(), n_convs, nd.name);
     cm.precisions_.push_back(p);
     if (p.kind != LayerPrecision::Kind::kInt) continue;
-    if (!probe) probe = make_datapath(spec.datapath);
     if (!probe->supports_int(p.a_bits, p.w_bits)) {
       throw std::invalid_argument(
           "CompiledModel::compile: layer '" + nd.name + "' requests " +
@@ -116,9 +116,8 @@ CompiledModel CompiledModel::compile(const GraphModel& model,
       cl.fp16_plan = build_fp16_plan(c, h, w, nd.filters, nd.spec, pool);
     } else {
       cl.qw = fit_symmetric(nd.filters.data, p.w_bits);
-      cl.int_digits = spec.datapath.scheme != DecompositionScheme::kSerial;
       cl.int_plan = build_int_plan(c, h, w, nd.filters, nd.spec, cl.qw,
-                                   cl.int_digits, pool);
+                                   spec.datapath.reads_digit_planes(), pool);
     }
   }
   cm.shape_net_ = model.shape_table(opts.input_h, opts.input_w);
@@ -166,7 +165,7 @@ DatapathStats CompiledModel::exec_node(
       // weight side was frozen at compile time.
       const QuantParams qa = fit_symmetric(x.data, cl.precision.a_bits);
       const PreparedInt in_planes =
-          prepare_int_planes(x.data, qa, cl.int_digits);
+          prepare_int_planes(x.data, qa, spec_.datapath.reads_digit_planes());
       y = execute_int_plan(cl.int_plan, in_planes, pool, units,
                            spec_.datapath.n_inputs, cl.precision.a_bits,
                            cl.precision.w_bits, qa, cl.qw);

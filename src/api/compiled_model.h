@@ -135,8 +135,7 @@ class CompiledModel {
     std::string precision_label;
     ConvPlan<PreparedFp16> fp16_plan;
     ConvPlan<PreparedInt> int_plan;
-    QuantParams qw;          ///< INT mode: weight quantization (compile-time)
-    bool int_digits = true;  ///< INT mode: pack radix-16 digit planes?
+    QuantParams qw;  ///< INT mode: weight quantization (compile-time)
   };
 
   void validate_input(const Tensor& input) const;

@@ -11,10 +11,10 @@
 //   * spatial   -- `SpatialIpu` (src/core/spatial_ipu.h): all Ka*Kb nibble
 //                  products in parallel on Ka*Kb*n multipliers.
 //
-// `Datapath` is the scheme-generic view: one `DatapathConfig` (scheme enum
-// plus the shared knobs) and a factory, `make_datapath`, that wraps the
-// scheme implementations behind a common accumulate / dot / readout / stats
-// contract while preserving the bit-exact behaviour of each scheme.  The
+// `Datapath` is the base all three derive from: one `DatapathConfig` (scheme
+// enum plus the shared knobs), one accumulator and one `DatapathStats` that
+// every scheme counts into, behind a common accumulate / dot / readout
+// contract.  `make_datapath` builds the class `cfg.scheme` names.  The
 // compiled conv path (src/nn/conv_plan.h), the cycle simulator's tile
 // costing (src/sim) and the decomposition-scheme benches all route through
 // this interface, so every workload can run on every scheme.
@@ -27,6 +27,7 @@
 
 #include "common/fixed_point.h"
 #include "core/accumulator.h"
+#include "core/ehu.h"
 #include "core/prepared.h"
 #include "softfloat/softfloat.h"
 
@@ -37,14 +38,14 @@ enum class DecompositionScheme { kTemporal, kSerial, kSpatial };
 
 const char* scheme_name(DecompositionScheme s);
 
-/// Scheme-generic datapath parameters: the shared knobs of IpuConfig,
-/// SerialIpuConfig and SpatialIpuConfig plus the scheme selector.  The
-/// factory maps these onto the scheme's own config, clamping the adder-tree
-/// width up to the scheme's minimum where multi-cycling requires it
-/// (serial products occupy 13 bits, nibble products 10 with guard).
+/// Datapath parameters: the scheme selector plus the knobs every scheme
+/// shares.  Each scheme class reads the adder-tree width through
+/// effective_adder_tree_width(), which clamps the request up to the
+/// scheme's minimum where multi-cycling requires it (serial products occupy
+/// 13 bits, nibble products 10 with guard).
 struct DatapathConfig {
   DecompositionScheme scheme = DecompositionScheme::kTemporal;
-  /// Number of input pairs n the unit accepts per operation.
+  /// Number of input pairs n the unit accepts per operation (>= 1).
   int n_inputs = 16;
   /// Requested adder tree / local shifter precision w ("IPU precision").
   int adder_tree_width = 28;
@@ -53,31 +54,21 @@ struct DatapathConfig {
   int software_precision = 28;
   /// MC alignment banding when true; single-cycle truncating window if not.
   bool multi_cycle = true;
-  /// Count only occupied alignment bands (§3.2 partition view).  NOTE:
-  /// this unified default (false, the literal Fig. 5 serve loop) matches
-  /// the standalone IpuConfig but NOT SpatialIpuConfig, whose standalone
-  /// default is true -- set it explicitly when porting spatial code, and
-  /// note the serial scheme models the serve loop only (the flag is
-  /// ignored there).
+  /// Count only occupied alignment bands (§3.2 partition view) instead of
+  /// the literal Fig. 5 serve loop.  The serial scheme models the serve
+  /// loop only and ignores it.
   bool skip_empty_bands = false;
   /// Sparse ablation (temporal scheme only): skip all-zero nibble iterations.
   bool skip_zero_iterations = false;
   AccumulatorConfig accumulator{};
 
-  /// Preset matching the scheme's *standalone* config defaults, defusing the
-  /// skip_empty_bands footgun above: spatial gets occupied-band counting
-  /// (SpatialIpuConfig's default), temporal/serial get the literal Fig. 5
-  /// serve loop.  Start from this when porting scheme-specific code.
+  /// The scheme's customary preset: spatial counts occupied bands, temporal
+  /// and serial run the literal Fig. 5 serve loop.
   static DatapathConfig for_scheme(DecompositionScheme s) {
     DatapathConfig c;
     c.scheme = s;
     c.skip_empty_bands = s == DecompositionScheme::kSpatial;
     return c;
-  }
-  /// Shorthand for for_scheme(kSpatial): a default-knob spatial datapath
-  /// that cycle-counts like a directly constructed SpatialIpu.
-  static DatapathConfig spatial_defaults() {
-    return for_scheme(DecompositionScheme::kSpatial);
   }
 
   friend bool operator==(const DatapathConfig&, const DatapathConfig&) = default;
@@ -96,9 +87,30 @@ struct DatapathConfig {
   int effective_adder_tree_width() const {
     return std::max(adder_tree_width, min_adder_tree_width());
   }
-  /// Safe precision sp of Proposition 1 for the effective width.
+  /// Safe precision sp of Proposition 1 for the effective width: alignments
+  /// below it lose no bits in the local shift (w - 9 nibble, w - 12 serial).
   int safe_precision() const {
     return effective_adder_tree_width() - (product_window_bits() - 1);
+  }
+  /// Guard placement: an unshifted lane product occupies the top of the
+  /// w-bit window, i.e. is pre-shifted left by w - product_window_bits().
+  int window_guard() const {
+    return effective_adder_tree_width() - product_window_bits();
+  }
+  /// EHU knobs of this unit.  Band assignment is only meaningful in MC
+  /// mode; single-cycle windows below the scheme's product width have a
+  /// non-positive safe precision, so the EHU gets at least 1.
+  EhuOptions ehu_options() const {
+    EhuOptions o;
+    o.software_precision = software_precision;
+    o.safe_precision = std::max(safe_precision(), 1);
+    return o;
+  }
+  /// Whether the scheme's INT serve loop reads radix-16 digit planes.  The
+  /// bit-serial scheme streams raw two's-complement values, so its prepared
+  /// INT operands skip the digit planes (PreparedInt's with_digits).
+  bool reads_digit_planes() const {
+    return scheme != DecompositionScheme::kSerial;
   }
 };
 
@@ -153,19 +165,27 @@ struct DotResult {
   Fp32 fp32() const { return rounded<kFp32Format>(); }
 };
 
-/// Scheme-generic datapath: FP16 inner products accumulated bit-exactly as
-/// the wrapped scheme implementation computes them.
+/// Scheme-generic datapath: the base class of Ipu, SerialIpu and SpatialIpu.
+/// It owns what the schemes share -- the config, the FP and INT
+/// accumulators and the running statistics -- and the prepare-on-the-fly
+/// compatibility entries; each scheme supplies its serve loops.
 class Datapath {
  public:
   virtual ~Datapath() = default;
 
   const DatapathConfig& config() const { return cfg_; }
+  /// Running statistics over everything executed on this unit; fields a
+  /// scheme does not model stay zero.
+  const DatapathStats& stats() const { return stats_; }
   /// 5x5-multiplier-equivalent lanes this scheme instantiates (the area
   /// denominator of the §5 comparison).
   virtual int multipliers() const = 0;
 
-  /// Clear the accumulator (new output pixel); stats persist.
-  virtual void reset_accumulator() = 0;
+  /// Clear the accumulators (new output pixel); stats persist.
+  void reset_accumulator() {
+    acc_.reset();
+    int_acc_ = 0;
+  }
 
   /// Accumulate one FP16 inner product from pre-decomposed SoA operand
   /// planes (core/prepared.h) -- the hot-loop contract.  Per op only the
@@ -196,7 +216,7 @@ class Datapath {
   }
 
   /// Raw non-normalized accumulator value (exact view of kept bits).
-  virtual FixedPoint read_raw() const = 0;
+  FixedPoint read_raw() const { return acc_.value(); }
   Fp16 read_fp16() const { return Fp16::round_from_fixed(read_raw()); }
   Fp32 read_fp32() const { return Fp32::round_from_fixed(read_raw()); }
 
@@ -213,21 +233,29 @@ class Datapath {
   /// fp16_accumulate.
   int int_accumulate(std::span<const int32_t> a, std::span<const int32_t> b,
                      int a_bits, int b_bits) {
-    // The bit-serial scheme streams raw values; don't pack digit planes it
-    // will never read.
-    const bool digits = cfg_.scheme != DecompositionScheme::kSerial;
-    int_prep_a_.assign(a, a_bits, false, digits);
-    int_prep_b_.assign(b, b_bits, false, digits);
+    int_prep_a_.assign(a, a_bits, false, cfg_.reads_digit_planes());
+    int_prep_b_.assign(b, b_bits, false, cfg_.reads_digit_planes());
     return int_accumulate_prepared(int_prep_a_.view(), int_prep_b_.view(),
                                    a_bits, b_bits);
   }
-  virtual int64_t read_int() const = 0;
-
-  virtual DatapathStats stats() const = 0;
+  /// INT-mode accumulator value.
+  int64_t read_int() const { return int_acc_; }
 
  protected:
-  explicit Datapath(const DatapathConfig& cfg) : cfg_(cfg) {}
+  /// Throws std::invalid_argument unless `cfg` names `scheme` (a unit built
+  /// from another scheme's config would misread its prepared operands) and
+  /// carries at least one input lane -- in every build mode.
+  Datapath(const DatapathConfig& cfg, DecompositionScheme scheme);
+  // Copyable and movable only as part of a scheme class (no slicing).
+  Datapath(const Datapath&) = default;
+  Datapath(Datapath&&) = default;
+  Datapath& operator=(const Datapath&) = default;
+  Datapath& operator=(Datapath&&) = default;
+
   DatapathConfig cfg_;
+  DatapathStats stats_;
+  Accumulator acc_;
+  int64_t int_acc_ = 0;
 
  private:
   /// Scratch backing the compatibility entries, reused across ops.
@@ -235,11 +263,8 @@ class Datapath {
   PreparedInt int_prep_a_, int_prep_b_;
 };
 
-/// Build the scheme implementation named by `cfg.scheme`.  The returned
-/// unit computes bit-identical values and cycle counts to the directly
-/// constructed Ipu / SerialIpu / SpatialIpu it wraps *with the same knob
-/// values* -- the unified defaults are IpuConfig's, so a default-knob
-/// SpatialIpu differs in skip_empty_bands (see the field note above).
+/// Build the scheme class named by `cfg.scheme` (Ipu, SerialIpu or
+/// SpatialIpu); throws std::invalid_argument when `cfg.n_inputs < 1`.
 std::unique_ptr<Datapath> make_datapath(const DatapathConfig& cfg);
 
 // ---------------------------------------------------------------------------

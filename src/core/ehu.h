@@ -47,8 +47,9 @@ struct EhuResult {
   std::vector<int> band;
   /// Number of serve cycles the MC-IPU needs per nibble iteration.
   int mc_cycles = 1;
-  /// Number of *non-empty* bands (cycle count when the EHU can skip empty
-  /// bands -- an ablation knob, see EhuOptions::skip_empty_bands).
+  /// Number of *non-empty* bands: the cycle count of a "smarter" EHU that
+  /// skips empty bands (the DatapathConfig::skip_empty_bands ablation; the
+  /// paper's serve loop advances the threshold by sp every cycle).
   int mc_cycles_skip_empty = 1;
   /// Stage-5 occupancy scratch (band index -> served anything); kept here so
   /// repeated run_ehu calls into the same EhuResult never allocate.
@@ -63,10 +64,6 @@ struct EhuOptions {
   /// Safe precision sp = w - 9 of the attached (MC-)IPU; only used for the
   /// serve loop / band assignment.
   int safe_precision = 19;
-  /// If true, cycles are counted as the number of non-empty bands (a
-  /// "smarter" EHU); the paper's serve loop advances the threshold by sp
-  /// every cycle, i.e. false.
-  bool skip_empty_bands = false;
 };
 
 /// Run the EHU over decoded operand pairs into caller-owned scratch;

@@ -8,24 +8,11 @@
 
 namespace mpipu {
 
-Ipu::Ipu(const IpuConfig& cfg) : cfg_(cfg), acc_(cfg.accumulator) {
-  assert(cfg_.n_inputs >= 1);
-  assert(cfg_.adder_tree_width >= 2);
-  // MC mode needs a positive safe precision (w >= 10); narrower windows can
-  // only run single-cycle (they truncate even unshifted products).
-  assert(!cfg_.multi_cycle || cfg_.safe_precision() >= 1);
-}
-
-void Ipu::reset_accumulator() {
-  acc_.reset();
-  int_acc_ = 0;
-}
-
 int Ipu::run_fp_iteration(std::span<const NibbleOperand> na,
                           std::span<const NibbleOperand> nb, int i, int j,
                           const EhuResult& ehu, int scale_bias) {
   const size_t n = na.size();
-  const int w = cfg_.adder_tree_width;
+  const int w = cfg_.effective_adder_tree_width();
   const int guard = cfg_.window_guard();  // w - 10
   const int sp = cfg_.safe_precision();   // w - 9
 
@@ -80,7 +67,7 @@ int Ipu::run_fp_iteration(std::span<const NibbleOperand> na,
                               ? 1
                               : (cfg_.skip_empty_bands ? ehu.mc_cycles_skip_empty
                                                        : ehu.mc_cycles);
-  if (cycles_used > 1) ++stats_.multi_cycle_iterations;
+  if (cycles_used > 1) ++stats_.multi_cycle_ops;
   return cycles_used;
 }
 
@@ -91,18 +78,14 @@ int Ipu::run_prepared_fp16(const PreparedFp16View& a, const PreparedFp16View& b)
   constexpr int kn = fp_nibble_count(F);
   constexpr int z = fp_pad_bits(F);
 
-  EhuOptions eopts;
-  eopts.software_precision = cfg_.software_precision;
-  eopts.safe_precision = std::max(cfg_.safe_precision(), 1);
-  eopts.skip_empty_bands = cfg_.skip_empty_bands;
   run_ehu(std::span<const int32_t>(a.exp, n), std::span<const int32_t>(b.exp, n),
-          eopts, ehu_);
+          cfg_.ehu_options(), ehu_);
 
   const int sp = cfg_.safe_precision();
   const bool single_cycle = !cfg_.multi_cycle;
   const int bands = single_cycle ? 1 : ehu_.mc_cycles;
   sched_.build(ehu_, bands, single_cycle, cfg_.window_guard(), sp,
-               cfg_.adder_tree_width);
+               cfg_.effective_adder_tree_width());
 
   // Same per-iteration cost rule as run_fp_iteration: the serve loop burns
   // a cycle per band (occupied bands only under the skip-empty ablation).
@@ -155,21 +138,14 @@ int Ipu::run_prepared_fp16(const PreparedFp16View& a, const PreparedFp16View& b)
                  ehu_.max_exp);
       }
       cycles += cycles_per_iter;
-      if (cycles_per_iter > 1) ++stats_.multi_cycle_iterations;
+      if (cycles_per_iter > 1) ++stats_.multi_cycle_ops;
     }
   }
 
   ++stats_.fp_ops;
   stats_.nibble_iterations += kn * kn;
   stats_.cycles += cycles;
-  for (size_t k = 0; k < n; ++k) {
-    if (ehu_.masked[k]) {
-      ++stats_.masked_products;
-    } else {
-      stats_.max_alignment_seen =
-          std::max(stats_.max_alignment_seen, ehu_.align[k]);
-    }
-  }
+  for (size_t k = 0; k < n; ++k) stats_.masked_products += ehu_.masked[k] != 0;
   return cycles;
 }
 
@@ -182,12 +158,8 @@ int Ipu::run_prepared_fp16_simd(const PreparedFp16View& a,
   constexpr int z = fp_pad_bits(F);
   const simd::KernelTable& K = simd::kernels();
 
-  EhuOptions eopts;
-  eopts.software_precision = cfg_.software_precision;
-  eopts.safe_precision = std::max(cfg_.safe_precision(), 1);
-  eopts.skip_empty_bands = cfg_.skip_empty_bands;
   run_ehu(std::span<const int32_t>(a.exp, n), std::span<const int32_t>(b.exp, n),
-          eopts, ehu_);
+          cfg_.ehu_options(), ehu_);
 
   const int sp = cfg_.safe_precision();
   const bool single_cycle = !cfg_.multi_cycle;
@@ -202,8 +174,8 @@ int Ipu::run_prepared_fp16_simd(const PreparedFp16View& a,
   down_.resize(n);
   K.serve_shifts_i32(ehu_.align.data(), ehu_.band.data(), n,
                      cfg_.window_guard(), sp, single_cycle ? 1 : 0,
-                     cfg_.adder_tree_width, serve_band_.data(), up_.data(),
-                     down_.data());
+                     cfg_.effective_adder_tree_width(), serve_band_.data(),
+                     up_.data(), down_.data());
 
   const int cycles_per_iter =
       single_cycle ? 1
@@ -253,21 +225,14 @@ int Ipu::run_prepared_fp16_simd(const PreparedFp16View& a,
                  ehu_.max_exp);
       }
       cycles += cycles_per_iter;
-      if (cycles_per_iter > 1) ++stats_.multi_cycle_iterations;
+      if (cycles_per_iter > 1) ++stats_.multi_cycle_ops;
     }
   }
 
   ++stats_.fp_ops;
   stats_.nibble_iterations += kn * kn;
   stats_.cycles += cycles;
-  for (size_t k = 0; k < n; ++k) {
-    if (ehu_.masked[k]) {
-      ++stats_.masked_products;
-    } else {
-      stats_.max_alignment_seen =
-          std::max(stats_.max_alignment_seen, ehu_.align[k]);
-    }
-  }
+  for (size_t k = 0; k < n; ++k) stats_.masked_products += ehu_.masked[k] != 0;
   return cycles;
 }
 
@@ -306,8 +271,8 @@ int Ipu::run_prepared_fp16_fused(const PreparedFp16View& a,
   up_.resize(simd::kFusedLanes);
   down_.resize(simd::kFusedLanes);
   K.serve_shifts_i32(falign_.data(), fband_.data(), simd::kFusedLanes, guard,
-                     sp, 0, cfg_.adder_tree_width, serve_band_.data(),
-                     up_.data(), down_.data());
+                     sp, 0, cfg_.effective_adder_tree_width(),
+                     serve_band_.data(), up_.data(), down_.data());
 
   int64_t sums[9 * simd::kMaxBands];
   uint32_t nz = 0;
@@ -340,7 +305,7 @@ int Ipu::run_prepared_fp16_fused(const PreparedFp16View& a,
                  max_exp);
       }
       cycles += cycles_per_iter;
-      if (cycles_per_iter > 1) ++stats_.multi_cycle_iterations;
+      if (cycles_per_iter > 1) ++stats_.multi_cycle_ops;
     }
   }
 
@@ -348,9 +313,6 @@ int Ipu::run_prepared_fp16_fused(const PreparedFp16View& a,
   stats_.nibble_iterations += 9;
   stats_.cycles += cycles;
   stats_.masked_products += n_masked;
-  if (max_align > stats_.max_alignment_seen) {
-    stats_.max_alignment_seen = max_align;
-  }
   return cycles;
 }
 

@@ -43,6 +43,7 @@
 #include "common/fixed_point.h"
 #include "core/accumulator.h"
 #include "core/band_schedule.h"
+#include "core/datapath.h"
 #include "core/ehu.h"
 #include "core/nibble.h"
 #include "core/prepared.h"
@@ -51,52 +52,17 @@
 
 namespace mpipu {
 
-struct IpuConfig {
-  /// Number of multiplier lanes n (paper: 8 for small tiles, 16 for big).
-  int n_inputs = 16;
-  /// Adder tree / local shifter precision w ("IPU precision").
-  int adder_tree_width = 28;
-  /// Software accuracy requirement: maximum alignment that must be honored
-  /// (16 for FP16 accumulation, 28 for FP32 accumulation; Section 3.1).
-  int software_precision = 28;
-  /// MC-IPU when true; single-cycle truncating IPU(w) when false.
-  bool multi_cycle = true;
-  /// Ablation: let the EHU serve loop skip empty alignment bands.
-  bool skip_empty_bands = false;
-  /// Sparse extension (the paper's future-work direction, cf. Pragmatic /
-  /// Bit-Tactical): dynamically skip nibble iterations whose lane operands
-  /// are all zero on one side.  Changes cycles, never values.
-  bool skip_zero_iterations = false;
-  AccumulatorConfig accumulator{};
-
-  /// Proposition 1: alignments below w - 9 lose no bits in the local shift.
-  int safe_precision() const { return adder_tree_width - 9; }
-  /// Guard placement: an unshifted 9-bit lane product occupies the top of
-  /// the w-bit window, i.e. is pre-shifted left by w - 10.
-  int window_guard() const { return adder_tree_width - 10; }
-};
-
-/// Running statistics over everything executed on one Ipu instance.
-struct IpuStats {
-  int64_t fp_ops = 0;                ///< FP inner-product operations.
-  int64_t int_ops = 0;               ///< INT inner-product operations.
-  int64_t nibble_iterations = 0;     ///< Total nibble iterations.
-  int64_t cycles = 0;                ///< Total datapath cycles.
-  int64_t masked_products = 0;       ///< Products dropped by EHU stage 4.
-  int64_t multi_cycle_iterations = 0;///< Iterations needing > 1 cycle.
-  int64_t skipped_iterations = 0;    ///< Zero-nibble iterations skipped.
-  int max_alignment_seen = 0;        ///< Largest unmasked alignment.
-};
-
-class Ipu {
+/// The temporal scheme: built from a kTemporal DatapathConfig.
+class Ipu final : public Datapath {
  public:
-  explicit Ipu(const IpuConfig& cfg);
+  explicit Ipu(const DatapathConfig& cfg)
+      : Datapath(cfg, DecompositionScheme::kTemporal) {}
 
-  const IpuConfig& config() const { return cfg_; }
-  const IpuStats& stats() const { return stats_; }
-
-  /// Clear the accumulator (new output pixel); stats persist.
-  void reset_accumulator();
+  int multipliers() const override { return cfg_.n_inputs; }
+  bool supports_int(int a_bits, int b_bits) const override {
+    return a_bits >= 2 && b_bits >= 2 && a_bits <= 4 * kMaxNibbles &&
+           b_bits <= 4 * kMaxNibbles;
+  }
 
   /// Accumulate one FP inner product a.b into the accumulator.
   /// Returns the number of datapath cycles consumed.
@@ -108,7 +74,7 @@ class Ipu {
   /// serve loop run, on reused scratch.  Bit- and cycle-identical to
   /// fp_accumulate<kFp16Format> over the same values.
   int fp16_accumulate_prepared(const PreparedFp16View& a,
-                               const PreparedFp16View& b);
+                               const PreparedFp16View& b) override;
 
   /// Prepared INT fast path: radix-16 digit planes were packed once, per
   /// tensor.  Bit- and cycle-identical to int_accumulate over the same
@@ -116,12 +82,14 @@ class Ipu {
   /// PreparedInt::assign(..., is_unsigned=true)).
   int int_accumulate_prepared(const PreparedIntView& a,
                               const PreparedIntView& b, int a_bits,
-                              int b_bits);
+                              int b_bits) override;
 
-  /// Accumulate one INT inner product; operands are already-quantized signed
-  /// values that fit (a_bits, b_bits) two's complement (pass is_unsigned for
-  /// unsigned encodings, which occupy ceil(bits/4) unsigned lanes).
-  /// Returns cycles consumed (= nibble-iteration count).
+  /// Per-op INT oracle: accumulate one INT inner product; operands are
+  /// already-quantized signed values that fit (a_bits, b_bits) two's
+  /// complement (pass is_unsigned for unsigned encodings, which occupy
+  /// ceil(bits/4) unsigned lanes).  Returns cycles consumed (= nibble-
+  /// iteration count).  Hides Datapath::int_accumulate, which reaches
+  /// int_accumulate_prepared with the same values and cycles.
   int int_accumulate(std::span<const int32_t> a, std::span<const int32_t> b,
                      int a_bits, int b_bits, bool a_unsigned = false,
                      bool b_unsigned = false);
@@ -135,17 +103,6 @@ class Ipu {
   template <FpFormat F>
   int fp_int_accumulate(std::span<const Soft<F>> a, std::span<const int32_t> b,
                         int b_bits, bool b_unsigned = false);
-
-  /// Read the FP accumulator rounded (RNE) to the destination format.
-  template <FpFormat Out>
-  Soft<Out> read_fp() const {
-    return Soft<Out>::round_from_fixed(acc_.value());
-  }
-  /// Raw non-normalized accumulator value (exact view of kept bits).
-  FixedPoint read_raw() const { return acc_.value(); }
-  /// INT-mode accumulator value.
-  int64_t read_int() const { return int_acc_; }
-  bool accumulator_overflowed() const { return acc_.overflowed(); }
 
  private:
   /// One nibble iteration (i, j) of an FP(-or-hybrid) op: multiply, locally
@@ -195,10 +152,6 @@ class Ipu {
     return cfg_.window_guard() >= 0 && cfg_.window_guard() <= 7;
   }
 
-  IpuConfig cfg_;
-  Accumulator acc_;
-  int64_t int_acc_ = 0;
-  IpuStats stats_;
   // Scratch, sized n_inputs, reused across calls to avoid allocation.
   std::vector<Decoded> dec_a_, dec_b_;
   std::vector<NibbleOperand> nib_a_, nib_b_;
@@ -232,13 +185,7 @@ int Ipu::fp_accumulate(std::span<const Soft<F>> a, std::span<const Soft<F>> b) {
     nib_b_[k] = decompose_fp<F>(dec_b_[k]);
   }
 
-  EhuOptions eopts;
-  eopts.software_precision = cfg_.software_precision;
-  // Band assignment is only meaningful in MC mode; single-cycle windows
-  // narrower than 10 bits have a non-positive safe precision.
-  eopts.safe_precision = std::max(cfg_.safe_precision(), 1);
-  eopts.skip_empty_bands = cfg_.skip_empty_bands;
-  const EhuResult ehu = run_ehu(dec_a_, dec_b_, eopts);
+  const EhuResult ehu = run_ehu(dec_a_, dec_b_, cfg_.ehu_options());
 
   const int ka = fp_nibble_count(F);
   const int kb = fp_nibble_count(F);
@@ -256,13 +203,7 @@ int Ipu::fp_accumulate(std::span<const Soft<F>> a, std::span<const Soft<F>> b) {
   ++stats_.fp_ops;
   stats_.nibble_iterations += ka * kb;
   stats_.cycles += cycles;
-  for (size_t k = 0; k < n; ++k) {
-    if (ehu.masked[k]) {
-      ++stats_.masked_products;
-    } else {
-      stats_.max_alignment_seen = std::max(stats_.max_alignment_seen, ehu.align[k]);
-    }
-  }
+  for (size_t k = 0; k < n; ++k) stats_.masked_products += ehu.masked[k] != 0;
   return cycles;
 }
 
@@ -286,11 +227,7 @@ int Ipu::fp_int_accumulate(std::span<const Soft<F>> a, std::span<const int32_t> 
                            : decompose_int(b[k], b_bits);
   }
 
-  EhuOptions eopts;
-  eopts.software_precision = cfg_.software_precision;
-  eopts.safe_precision = std::max(cfg_.safe_precision(), 1);
-  eopts.skip_empty_bands = cfg_.skip_empty_bands;
-  const EhuResult ehu = run_ehu(dec_a_, dec_b_, eopts);
+  const EhuResult ehu = run_ehu(dec_a_, dec_b_, cfg_.ehu_options());
 
   const int ka = fp_nibble_count(F);
   const int kb = int_nibble_count(b_bits);

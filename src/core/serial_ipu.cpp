@@ -7,17 +7,6 @@
 
 namespace mpipu {
 
-SerialIpu::SerialIpu(const SerialIpuConfig& cfg) : cfg_(cfg), acc_(cfg.accumulator) {
-  assert(cfg_.n_inputs >= 1);
-  assert(cfg_.adder_tree_width >= 13 || !cfg_.multi_cycle);
-  assert(!cfg_.multi_cycle || cfg_.safe_precision() >= 1);
-}
-
-void SerialIpu::reset_accumulator() {
-  acc_.reset();
-  int_acc_ = 0;
-}
-
 int SerialIpu::fp_accumulate(std::span<const Fp16> a, std::span<const Fp16> b) {
   assert(a.size() == b.size());
   assert(static_cast<int>(a.size()) <= cfg_.n_inputs);
@@ -31,12 +20,9 @@ int SerialIpu::fp_accumulate(std::span<const Fp16> a, std::span<const Fp16> b) {
     db[k] = b[k].decode();
   }
 
-  EhuOptions eopts;
-  eopts.software_precision = cfg_.software_precision;
-  eopts.safe_precision = std::max(cfg_.safe_precision(), 1);
-  const EhuResult ehu = run_ehu(da, db, eopts);
+  const EhuResult ehu = run_ehu(da, db, cfg_.ehu_options());
 
-  const int w = cfg_.adder_tree_width;
+  const int w = cfg_.effective_adder_tree_width();
   const int guard = cfg_.window_guard();
   const int sp = cfg_.safe_precision();
   const bool single_cycle = !cfg_.multi_cycle;
@@ -82,17 +68,15 @@ int SerialIpu::run_prepared_fp16(const PreparedFp16View& a,
   constexpr FpFormat F = kFp16Format;
   constexpr int kSteps = 12;  // 11 magnitude bits + 1 pad (implicit shift)
 
-  EhuOptions eopts;
-  eopts.software_precision = cfg_.software_precision;
-  eopts.safe_precision = std::max(cfg_.safe_precision(), 1);
   run_ehu(std::span<const int32_t>(a.exp, n), std::span<const int32_t>(b.exp, n),
-          eopts, ehu_);
+          cfg_.ehu_options(), ehu_);
 
   const int guard = cfg_.window_guard();
   const int sp = cfg_.safe_precision();
   const bool single_cycle = !cfg_.multi_cycle;
   const int bands = single_cycle ? 1 : ehu_.mc_cycles;
-  sched_.build(ehu_, bands, single_cycle, guard, sp, cfg_.adder_tree_width);
+  sched_.build(ehu_, bands, single_cycle, guard, sp,
+               cfg_.effective_adder_tree_width());
 
   // Per-lane constants for the whole op: the padded weight magnitude whose
   // bits stream serially, and the multiplicand with the weight sign folded
@@ -141,11 +125,8 @@ int SerialIpu::run_prepared_fp16_simd(const PreparedFp16View& a,
   constexpr int kSteps = 12;  // 11 magnitude bits + 1 pad (implicit shift)
   const simd::KernelTable& K = simd::kernels();
 
-  EhuOptions eopts;
-  eopts.software_precision = cfg_.software_precision;
-  eopts.safe_precision = std::max(cfg_.safe_precision(), 1);
   run_ehu(std::span<const int32_t>(a.exp, n), std::span<const int32_t>(b.exp, n),
-          eopts, ehu_);
+          cfg_.ehu_options(), ehu_);
 
   const int guard = cfg_.window_guard();
   const int sp = cfg_.safe_precision();
@@ -157,7 +138,7 @@ int SerialIpu::run_prepared_fp16_simd(const PreparedFp16View& a,
   up_.resize(n);
   down_.resize(n);
   K.serve_shifts_i32(ehu_.align.data(), ehu_.band.data(), n, guard, sp,
-                     single_cycle ? 1 : 0, cfg_.adder_tree_width,
+                     single_cycle ? 1 : 0, cfg_.effective_adder_tree_width(),
                      serve_band_.data(), up_.data(), down_.data());
 
   padded_mag_.resize(n);
@@ -241,8 +222,8 @@ int SerialIpu::run_prepared_fp16_fused(const PreparedFp16View& a,
   up_.resize(simd::kFusedLanes);
   down_.resize(simd::kFusedLanes);
   K.serve_shifts_i32(falign_.data(), fband_.data(), simd::kFusedLanes, guard,
-                     sp, 0, cfg_.adder_tree_width, serve_band_.data(),
-                     up_.data(), down_.data());
+                     sp, 0, cfg_.effective_adder_tree_width(),
+                     serve_band_.data(), up_.data(), down_.data());
 
   padded_mag_.resize(simd::kFusedLanes);
   lane_p_.resize(simd::kFusedLanes);
@@ -307,12 +288,15 @@ int SerialIpu::fp16_accumulate_prepared(const PreparedFp16View& a,
                          : run_prepared_fp16<int128>(a, b);
 }
 
-int SerialIpu::int_accumulate(std::span<const int32_t> a, std::span<const int32_t> b,
-                              int a_bits, int b_bits) {
-  assert(a.size() == b.size());
+int SerialIpu::int_accumulate_prepared(const PreparedIntView& av,
+                                       const PreparedIntView& bv, int a_bits,
+                                       int b_bits) {
+  assert(av.n == bv.n);
+  assert(static_cast<int>(av.n) <= cfg_.n_inputs);
   assert(a_bits <= 12 && b_bits <= 32);
   static_cast<void>(a_bits);  // only the asserts consume it
-  const size_t n = a.size();
+  const size_t n = av.n;
+  const std::span<const int32_t> a(av.value, n), b(bv.value, n);
   for (size_t k = 0; k < n; ++k) {
     assert(fits_signed(a[k], a_bits));
     assert(fits_signed(b[k], b_bits));

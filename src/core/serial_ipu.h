@@ -20,6 +20,7 @@
 #include "common/bits.h"
 #include "core/accumulator.h"
 #include "core/band_schedule.h"
+#include "core/datapath.h"
 #include "core/ehu.h"
 #include "core/prepared.h"
 #include "core/reference.h"
@@ -27,33 +28,19 @@
 
 namespace mpipu {
 
-struct SerialIpuConfig {
-  int n_inputs = 16;
-  /// Adder tree width w; the serial product needs 13 bits, so the safe
-  /// precision is w - 12 (cf. w - 9 for the 5-bit nibble IPU).
-  int adder_tree_width = 16;
-  int software_precision = 28;
-  bool multi_cycle = true;
-  AccumulatorConfig accumulator{};
-
-  int safe_precision() const { return adder_tree_width - 12; }
-  int window_guard() const { return adder_tree_width - 13; }
-};
-
-struct SerialIpuStats {
-  int64_t fp_ops = 0;
-  int64_t int_ops = 0;
-  int64_t cycles = 0;
-};
-
-class SerialIpu {
+/// The bit-serial scheme: built from a kSerial DatapathConfig.  The serial
+/// product occupies 13 bits of the window, so the safe precision is w - 12
+/// (cf. w - 9 for the 5-bit nibble IPU).
+class SerialIpu final : public Datapath {
  public:
-  explicit SerialIpu(const SerialIpuConfig& cfg);
+  explicit SerialIpu(const DatapathConfig& cfg)
+      : Datapath(cfg, DecompositionScheme::kSerial) {}
 
-  const SerialIpuConfig& config() const { return cfg_; }
-  const SerialIpuStats& stats() const { return stats_; }
-
-  void reset_accumulator();
+  int multipliers() const override { return cfg_.n_inputs; }
+  /// Full-parallel multiplicand is a 12-bit lane; b streams bit-serially.
+  bool supports_int(int a_bits, int b_bits) const override {
+    return a_bits >= 2 && b_bits >= 2 && a_bits <= 12 && b_bits <= 32;
+  }
 
   /// FP16 inner product, weight operand processed one magnitude bit per
   /// step (11 magnitude bits + the implicit-left-shift padding = 12 steps).
@@ -64,19 +51,14 @@ class SerialIpu {
   /// the bit-serial serve loop run, on reused scratch.  Bit- and
   /// cycle-identical to fp_accumulate over the same values.
   int fp16_accumulate_prepared(const PreparedFp16View& a,
-                               const PreparedFp16View& b);
+                               const PreparedFp16View& b) override;
 
-  /// INT inner product: full-parallel a (<= 12 bits), bit-serial b.
-  /// Costs b_bits cycles; exact.
-  int int_accumulate(std::span<const int32_t> a, std::span<const int32_t> b,
-                     int a_bits, int b_bits);
-
-  template <FpFormat Out>
-  Soft<Out> read_fp() const {
-    return Soft<Out>::round_from_fixed(acc_.value());
-  }
-  FixedPoint read_raw() const { return acc_.value(); }
-  int64_t read_int() const { return int_acc_; }
+  /// INT inner product: full-parallel a (<= 12 bits), bit-serial b.  Costs
+  /// b_bits cycles; exact.  Streams the raw two's-complement value planes;
+  /// the digit planes are a temporal-scheme notion it never reads.
+  int int_accumulate_prepared(const PreparedIntView& a,
+                              const PreparedIntView& b, int a_bits,
+                              int b_bits) override;
 
  private:
   template <typename TreeInt>
@@ -96,10 +78,6 @@ class SerialIpu {
   int run_prepared_fp16_fused(const PreparedFp16View& a,
                               const PreparedFp16View& b);
 
-  SerialIpuConfig cfg_;
-  Accumulator acc_;
-  int64_t int_acc_ = 0;
-  SerialIpuStats stats_;
   // Prepared-path scratch (EHU output, serve schedule, per-lane operand
   // views), reused per op.
   EhuResult ehu_;

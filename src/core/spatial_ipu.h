@@ -20,11 +20,14 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <span>
 #include <vector>
 
 #include "common/bits.h"
 #include "core/accumulator.h"
+#include "core/datapath.h"
 #include "core/ehu.h"
 #include "core/nibble.h"
 #include "core/prepared.h"
@@ -34,38 +37,22 @@
 
 namespace mpipu {
 
-struct SpatialIpuConfig {
-  int n_inputs = 16;
-  /// Adder tree width w; safe precision w - 9 as in the temporal IPU.
-  int adder_tree_width = 28;
-  int software_precision = 28;
-  bool multi_cycle = true;
-  bool skip_empty_bands = true;  ///< occupied-band cycle counting (§3.2)
-  AccumulatorConfig accumulator{};
-
-  int safe_precision() const { return adder_tree_width - 9; }
-  int window_guard() const { return adder_tree_width - 10; }
-};
-
-struct SpatialIpuStats {
-  int64_t fp_ops = 0;
-  int64_t cycles = 0;
-  int64_t multi_cycle_ops = 0;
-};
-
-class SpatialIpu {
+/// The spatial scheme: built from a kSpatial DatapathConfig (safe precision
+/// w - 9 as in the temporal IPU).  FP-only.
+class SpatialIpu final : public Datapath {
  public:
-  explicit SpatialIpu(const SpatialIpuConfig& cfg);
+  explicit SpatialIpu(const DatapathConfig& cfg)
+      : Datapath(cfg, DecompositionScheme::kSpatial) {}
 
-  const SpatialIpuConfig& config() const { return cfg_; }
-  const SpatialIpuStats& stats() const { return stats_; }
-  /// Multipliers this unit instantiates (vs n for the temporal IPU).
+  /// Multipliers this unit instantiates per input pair (vs 1 for the
+  /// temporal IPU).
   template <FpFormat F>
   static constexpr int multipliers_per_input() {
     return fp_nibble_count(F) * fp_nibble_count(F);
   }
-
-  void reset_accumulator();
+  int multipliers() const override {
+    return cfg_.n_inputs * multipliers_per_input<kFp16Format>();
+  }
 
   /// One FP inner product, all nibble products in parallel.
   /// Returns datapath cycles (1 when every combined shift fits one band).
@@ -76,13 +63,16 @@ class SpatialIpu {
   /// the combined-shift serve loop run, on reused scratch.  Bit- and
   /// cycle-identical to fp_accumulate<kFp16Format> over the same values.
   int fp16_accumulate_prepared(const PreparedFp16View& a,
-                               const PreparedFp16View& b);
+                               const PreparedFp16View& b) override;
 
-  template <FpFormat Out>
-  Soft<Out> read_fp() const {
-    return Soft<Out>::round_from_fixed(acc_.value());
+  bool supports_int(int, int) const override { return false; }
+  /// Hard abort (not an assert): in a Release build a silent 0 here would
+  /// masquerade as a valid INT result.
+  int int_accumulate_prepared(const PreparedIntView&, const PreparedIntView&,
+                              int, int) override {
+    std::fprintf(stderr, "Datapath: spatial scheme is FP-only\n");
+    std::abort();
   }
-  FixedPoint read_raw() const { return acc_.value(); }
 
  private:
   template <typename TreeInt>
@@ -99,9 +89,6 @@ class SpatialIpu {
   int run_prepared_fp16_simd(const PreparedFp16View& a,
                              const PreparedFp16View& b);
 
-  SpatialIpuConfig cfg_;
-  Accumulator acc_;
-  SpatialIpuStats stats_;
   // Prepared-path scratch: lane products grouped by serve band, reused per
   // op (entries with a zero product are dropped -- they cannot change the
   // adder tree -- but still count toward band occupancy, which is an
@@ -121,14 +108,6 @@ class SpatialIpu {
 
 // ---------------------------------------------------------------------------
 
-inline SpatialIpu::SpatialIpu(const SpatialIpuConfig& cfg)
-    : cfg_(cfg), acc_(cfg.accumulator) {
-  assert(cfg_.n_inputs >= 1);
-  assert(!cfg_.multi_cycle || cfg_.safe_precision() >= 1);
-}
-
-inline void SpatialIpu::reset_accumulator() { acc_.reset(); }
-
 template <FpFormat F>
 int SpatialIpu::fp_accumulate(std::span<const Soft<F>> a, std::span<const Soft<F>> b) {
   assert(a.size() == b.size());
@@ -146,12 +125,9 @@ int SpatialIpu::fp_accumulate(std::span<const Soft<F>> a, std::span<const Soft<F
     nb[k] = decompose_fp<F>(db[k]);
   }
 
-  EhuOptions eopts;
-  eopts.software_precision = cfg_.software_precision;
-  eopts.safe_precision = std::max(cfg_.safe_precision(), 1);
-  const EhuResult ehu = run_ehu(da, db, eopts);
+  const EhuResult ehu = run_ehu(da, db, cfg_.ehu_options());
 
-  const int w = cfg_.adder_tree_width;
+  const int w = cfg_.effective_adder_tree_width();
   const int guard = cfg_.window_guard();
   const int sp = cfg_.safe_precision();
   const bool single_cycle = !cfg_.multi_cycle;
@@ -229,13 +205,10 @@ int SpatialIpu::run_prepared_fp16(const PreparedFp16View& a,
   constexpr int z = fp_pad_bits(F);
   constexpr int top_weight = 2 * (4 * (kn - 1) - z);
 
-  EhuOptions eopts;
-  eopts.software_precision = cfg_.software_precision;
-  eopts.safe_precision = std::max(cfg_.safe_precision(), 1);
   run_ehu(std::span<const int32_t>(a.exp, n), std::span<const int32_t>(b.exp, n),
-          eopts, ehu_);
+          cfg_.ehu_options(), ehu_);
 
-  const int w = cfg_.adder_tree_width;
+  const int w = cfg_.effective_adder_tree_width();
   const int guard = cfg_.window_guard();
   const int sp = cfg_.safe_precision();
   const bool single_cycle = !cfg_.multi_cycle;

@@ -65,8 +65,7 @@ NetworkSimResult simulate_network(const Network& net, const TileConfig& tile,
   const int per_cluster = tile.ipus_per_cluster;
   const int spatial_copies = tile.h_unroll * tile.w_unroll;
   const int B = tile.input_buffer_depth;
-  const int iters_per_op =
-      opts.effective_iterations_per_op(tile.datapath.scheme);
+  const int iters_per_op = fp16_iterations_per_op(tile.datapath.scheme);
 
   std::vector<int> product_exps(static_cast<size_t>(n));
   std::vector<int> act_exps(static_cast<size_t>(spatial_copies * n));

@@ -44,21 +44,7 @@ struct SimOptions {
   /// Broadcast steps sampled per layer (scaled up to the true step count).
   /// Must be >= 1; simulate_network rejects anything else.
   int sampled_steps = 1500;
-  // NOTE: an `exponent_pool` knob (a pool of pre-drawn exponents per
-  // distribution) lived here through PR 9 but was never read anywhere: the
-  // simulator draws jitters directly per sampled step (see
-  // simulate_network).  Removed rather than wired up -- pinned by
-  // SimOptionsTest.ExponentPoolKnobStaysRemoved so it cannot silently
-  // reappear unread.
   uint64_t seed = 0xC0FFEE;
-
-  /// The one derivation point for the per-op base step count: the tile's
-  /// decomposition scheme fixes it (9 nibble iterations temporal, 12 bit
-  /// steps serial, 1 spatial).  The deprecated `iterations_per_op` override
-  /// this method folded in (PR 2) has been removed.
-  int effective_iterations_per_op(DecompositionScheme scheme) const {
-    return fp16_iterations_per_op(scheme);
-  }
 };
 
 /// One tile's share of one layer under the active partition.

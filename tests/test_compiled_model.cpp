@@ -244,6 +244,22 @@ TEST(CompiledModelTest, CompileTimeValidationErrors) {
            ConvSpec{}, a);
   EXPECT_THROW(session.compile(bad.build(), {4, 4}), std::invalid_argument);
 
+  // A datapath with fewer than one input lane: compile builds its probe
+  // unit for every policy, so both compile and Session::run reject it
+  // before anything is baked (it used to crash the first forward).
+  for (int n : {0, -1}) {
+    RunSpec no_lanes = spec;
+    no_lanes.datapath.n_inputs = n;
+    EXPECT_THROW((void)Session(no_lanes).compile(model, {12, 12}),
+                 std::invalid_argument)
+        << n;
+    Session no_lanes_session(no_lanes);
+    EXPECT_THROW(no_lanes_session.run(model, Tensor(3, 12, 12)),
+                 std::invalid_argument)
+        << n;
+    EXPECT_EQ(no_lanes_session.cached_plans(), 0u) << n;
+  }
+
   // Run-time shape mismatch against the compiled geometry.
   const CompiledModel compiled = session.compile(model, {12, 12});
   EXPECT_THROW(compiled.run(Tensor(3, 10, 10)), std::invalid_argument);

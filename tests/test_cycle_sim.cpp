@@ -148,15 +148,10 @@ TEST(AlignmentHistogramTest, ForwardConcentratedBackwardWide) {
 }
 
 TEST(SimOptionsTest, IterationsPerOpDerivesFromScheme) {
-  // Since the removal of the deprecated SimOptions.iterations_per_op
-  // override, the scheme is the only derivation point for the per-op base
-  // step count.
-  const SimOptions opts;
-  EXPECT_EQ(opts.effective_iterations_per_op(DecompositionScheme::kTemporal), 9);
-  EXPECT_EQ(opts.effective_iterations_per_op(DecompositionScheme::kSerial), 12);
-  EXPECT_EQ(opts.effective_iterations_per_op(DecompositionScheme::kSpatial), 1);
-  EXPECT_EQ(opts.effective_iterations_per_op(DecompositionScheme::kTemporal),
-            fp16_iterations_per_op(DecompositionScheme::kTemporal));
+  // The scheme is the only derivation point for the per-op base step count.
+  EXPECT_EQ(fp16_iterations_per_op(DecompositionScheme::kTemporal), 9);
+  EXPECT_EQ(fp16_iterations_per_op(DecompositionScheme::kSerial), 12);
+  EXPECT_EQ(fp16_iterations_per_op(DecompositionScheme::kSpatial), 1);
 }
 
 TEST(SimOptionsTest, SchemeDerivationMatchesServiceCycleModel) {
@@ -169,7 +164,7 @@ TEST(SimOptionsTest, SchemeDerivationMatchesServiceCycleModel) {
     cfg.skip_empty_bands = false;
     const std::vector<int> exps{0, 1, 2, 3};
     EXPECT_EQ(fp16_op_service_cycles(exps, cfg),
-              SimOptions{}.effective_iterations_per_op(s))
+              fp16_iterations_per_op(s))
         << scheme_name(s);
   }
 }

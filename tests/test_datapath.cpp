@@ -1,7 +1,9 @@
 // Tests for the unified Datapath interface (core/datapath.h):
 //
-//  * wrapping transparency: Datapath::dot bit-matches the directly
-//    constructed Ipu / SerialIpu / SpatialIpu on values AND cycles;
+//  * each scheme class's prepared path (Datapath::dot) bit-matches its own
+//    per-op oracle (fp_accumulate) on values AND cycles, on one object;
+//  * the construction contract: a unit rejects another scheme's config and
+//    a config with fewer than one input lane;
 //  * cross-scheme agreement: with an exact accumulator and MC banding all
 //    three schemes reproduce reference.h's exact inner product bit for bit
 //    (the §5 orthogonality claim at the value level);
@@ -11,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.h"
@@ -45,8 +48,8 @@ AccumulatorConfig unbounded_acc() {
 }
 
 DatapathConfig base_config(DecompositionScheme scheme, int w) {
-  // for_scheme matches each scheme's standalone defaults (spatial gets
-  // skip_empty_bands, the footgun the preset exists to defuse).
+  // for_scheme is each scheme's customary preset (spatial counts occupied
+  // bands only).
   DatapathConfig cfg = DatapathConfig::for_scheme(scheme);
   cfg.n_inputs = 16;
   cfg.adder_tree_width = w;
@@ -55,23 +58,16 @@ DatapathConfig base_config(DecompositionScheme scheme, int w) {
   return cfg;
 }
 
-// --- Wrapping transparency: Datapath == direct scheme calls ------------------
+// --- Prepared path vs the scheme's per-op oracle, on one object -------------
 
-TEST(DatapathWrapping, TemporalBitMatchesDirectIpu) {
+TEST(DatapathUnits, TemporalPreparedMatchesPerOpOracle) {
   Rng rng(1);
   for (int w : {12, 16, 28}) {
-    const DatapathConfig cfg = base_config(DecompositionScheme::kTemporal, w);
-    auto dp = make_datapath(cfg);
-    IpuConfig icfg;
-    icfg.n_inputs = cfg.n_inputs;
-    icfg.adder_tree_width = w;
-    icfg.software_precision = cfg.software_precision;
-    icfg.multi_cycle = cfg.multi_cycle;
-    Ipu ipu(icfg);
+    Ipu ipu(base_config(DecompositionScheme::kTemporal, w));
     for (int t = 0; t < 500; ++t) {
       const auto a = random_fp16_bits(rng, 16);
       const auto b = random_fp16_bits(rng, 16);
-      const DotResult r = dp->dot(a, b);
+      const DotResult r = ipu.dot(a, b);
       ipu.reset_accumulator();
       const int cycles = ipu.fp_accumulate<kFp16Format>(a, b);
       EXPECT_TRUE(r.raw == ipu.read_raw()) << "w=" << w << " trial " << t;
@@ -80,21 +76,14 @@ TEST(DatapathWrapping, TemporalBitMatchesDirectIpu) {
   }
 }
 
-TEST(DatapathWrapping, SerialBitMatchesDirectSerialIpu) {
+TEST(DatapathUnits, SerialPreparedMatchesPerOpOracle) {
   Rng rng(2);
   for (int w : {13, 16, 28}) {
-    const DatapathConfig cfg = base_config(DecompositionScheme::kSerial, w);
-    auto dp = make_datapath(cfg);
-    SerialIpuConfig scfg;
-    scfg.n_inputs = cfg.n_inputs;
-    scfg.adder_tree_width = w;
-    scfg.software_precision = cfg.software_precision;
-    scfg.multi_cycle = cfg.multi_cycle;
-    SerialIpu ipu(scfg);
+    SerialIpu ipu(base_config(DecompositionScheme::kSerial, w));
     for (int t = 0; t < 500; ++t) {
       const auto a = random_fp16_bits(rng, 16);
       const auto b = random_fp16_bits(rng, 16);
-      const DotResult r = dp->dot(a, b);
+      const DotResult r = ipu.dot(a, b);
       ipu.reset_accumulator();
       const int cycles = ipu.fp_accumulate(a, b);
       EXPECT_TRUE(r.raw == ipu.read_raw()) << "w=" << w << " trial " << t;
@@ -103,26 +92,16 @@ TEST(DatapathWrapping, SerialBitMatchesDirectSerialIpu) {
   }
 }
 
-TEST(DatapathWrapping, SpatialBitMatchesDirectSpatialIpu) {
+TEST(DatapathUnits, SpatialPreparedMatchesPerOpOracle) {
   Rng rng(3);
   for (int w : {16, 28, 40}) {
-    // base_config routes through DatapathConfig::for_scheme, so a spatial
-    // config cycle-counts like a directly constructed SpatialIpu without
-    // touching skip_empty_bands by hand.
     const DatapathConfig cfg = base_config(DecompositionScheme::kSpatial, w);
     EXPECT_TRUE(cfg.skip_empty_bands);
-    auto dp = make_datapath(cfg);
-    SpatialIpuConfig scfg;
-    scfg.n_inputs = cfg.n_inputs;
-    scfg.adder_tree_width = w;
-    scfg.software_precision = cfg.software_precision;
-    scfg.multi_cycle = cfg.multi_cycle;
-    scfg.skip_empty_bands = true;
-    SpatialIpu ipu(scfg);
+    SpatialIpu ipu(cfg);
     for (int t = 0; t < 500; ++t) {
       const auto a = random_fp16_bits(rng, 16);
       const auto b = random_fp16_bits(rng, 16);
-      const DotResult r = dp->dot(a, b);
+      const DotResult r = ipu.dot(a, b);
       ipu.reset_accumulator();
       const int cycles = ipu.fp_accumulate<kFp16Format>(a, b);
       EXPECT_TRUE(r.raw == ipu.read_raw()) << "w=" << w << " trial " << t;
@@ -131,15 +110,52 @@ TEST(DatapathWrapping, SpatialBitMatchesDirectSpatialIpu) {
   }
 }
 
-TEST(DatapathWrapping, SerialWidthIsClampedToProductWidth) {
+TEST(DatapathUnits, SerialWidthIsClampedToProductWidth) {
   DatapathConfig cfg = base_config(DecompositionScheme::kSerial, 10);
   EXPECT_EQ(cfg.effective_adder_tree_width(), 13);
   EXPECT_EQ(cfg.safe_precision(), 1);
-  auto dp = make_datapath(cfg);  // must not trip SerialIpu's width assert
+  auto dp = make_datapath(cfg);  // serves on the clamped 13-bit window
   Rng rng(4);
   const auto a = random_fp16_bits(rng, 16);
   const auto b = random_fp16_bits(rng, 16);
   EXPECT_GE(dp->dot(a, b).cycles, 12);
+}
+
+// --- Construction contract ---------------------------------------------------
+
+TEST(DatapathUnits, SchemeClassRejectsAnotherSchemesConfig) {
+  // Each class serves only the scheme it models: a temporal unit built from
+  // a serial config, say, would skip the INT digit planes its serve loop
+  // reads (the compatibility entry packs per cfg.scheme).
+  for (auto scheme : kAllSchemes) {
+    const DatapathConfig cfg = DatapathConfig::for_scheme(scheme);
+    const auto throws_unless = [&](DecompositionScheme own, auto build) {
+      if (scheme == own) {
+        EXPECT_NO_THROW(build()) << scheme_name(scheme);
+      } else {
+        EXPECT_THROW(build(), std::invalid_argument)
+            << scheme_name(own) << " unit from a " << scheme_name(scheme)
+            << " config";
+      }
+    };
+    throws_unless(DecompositionScheme::kTemporal, [&] { Ipu u(cfg); });
+    throws_unless(DecompositionScheme::kSerial, [&] { SerialIpu u(cfg); });
+    throws_unless(DecompositionScheme::kSpatial, [&] { SpatialIpu u(cfg); });
+    EXPECT_EQ(make_datapath(cfg)->config().scheme, scheme);
+  }
+}
+
+TEST(DatapathUnits, RejectsFewerThanOneInput) {
+  // Checked in every build mode: the executor chunks by n_inputs, so a unit
+  // with no lanes must never be built.
+  for (auto scheme : kAllSchemes) {
+    for (int n : {0, -1}) {
+      DatapathConfig cfg = DatapathConfig::for_scheme(scheme);
+      cfg.n_inputs = n;
+      EXPECT_THROW(make_datapath(cfg), std::invalid_argument)
+          << scheme_name(scheme) << " n_inputs=" << n;
+    }
+  }
 }
 
 TEST(DatapathPresets, ForSchemeMatchesStandaloneDefaults) {
@@ -147,10 +163,10 @@ TEST(DatapathPresets, ForSchemeMatchesStandaloneDefaults) {
                    .skip_empty_bands);
   EXPECT_FALSE(DatapathConfig::for_scheme(DecompositionScheme::kSerial)
                    .skip_empty_bands);
-  const DatapathConfig sp = DatapathConfig::spatial_defaults();
+  const DatapathConfig sp =
+      DatapathConfig::for_scheme(DecompositionScheme::kSpatial);
   EXPECT_EQ(sp.scheme, DecompositionScheme::kSpatial);
   EXPECT_TRUE(sp.skip_empty_bands);
-  EXPECT_EQ(sp, DatapathConfig::for_scheme(DecompositionScheme::kSpatial));
 }
 
 // --- Cross-scheme agreement (§5 orthogonality at the value level) ------------
@@ -229,8 +245,7 @@ TEST(DatapathCostModel, ServiceCyclesMatchBitAccurateUnits) {
   Rng rng(8);
   for (auto scheme : kAllSchemes) {
     for (int w : {14, 16, 28}) {
-      const DatapathConfig cfg = base_config(scheme, w);  // preset handles
-                                                          // skip_empty_bands
+      const DatapathConfig cfg = base_config(scheme, w);
       auto dp = make_datapath(cfg);
       std::vector<int> exps(16);
       for (int t = 0; t < 400; ++t) {

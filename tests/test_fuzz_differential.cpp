@@ -36,7 +36,7 @@ TEST(FuzzDifferential, RandomConfigsLosslessWhenUnbounded) {
   // it architecturally shouldn't.
   Rng rng(0xF0021);
   for (int cfg_trial = 0; cfg_trial < 60; ++cfg_trial) {
-    IpuConfig cfg;
+    DatapathConfig cfg;
     cfg.n_inputs = static_cast<int>(rng.uniform_int(1, 32));
     cfg.multi_cycle = rng.bernoulli(0.7);
     cfg.adder_tree_width =
@@ -66,14 +66,14 @@ TEST(FuzzDifferential, KnobsNeverChangeValuesOnlyCycles) {
   // all four combinations.
   Rng rng(0xF0022);
   for (int cfg_trial = 0; cfg_trial < 25; ++cfg_trial) {
-    IpuConfig base;
+    DatapathConfig base;
     base.n_inputs = static_cast<int>(rng.uniform_int(2, 16));
     base.adder_tree_width = static_cast<int>(rng.uniform_int(10, 30));
     base.software_precision = static_cast<int>(rng.uniform_int(8, 32));
     base.multi_cycle = true;
     std::vector<Ipu> variants;
     for (int m = 0; m < 4; ++m) {
-      IpuConfig c = base;
+      DatapathConfig c = base;
       c.skip_empty_bands = m & 1;
       c.skip_zero_iterations = m & 2;
       variants.emplace_back(c);
@@ -112,7 +112,7 @@ TEST(FuzzDifferential, ErrorBoundedPerSampleAndShrinksOnAverageAsWindowWidens) {
     }
     for (size_t wi = 0; wi < widths.size(); ++wi) {
       const int w = widths[wi];
-      IpuConfig cfg;
+      DatapathConfig cfg;
       cfg.n_inputs = 16;
       cfg.adder_tree_width = w;
       cfg.software_precision = w;
@@ -137,14 +137,15 @@ TEST(FuzzDifferential, TemporalAndSpatialAgreeUnderRandomConfigs) {
   for (int cfg_trial = 0; cfg_trial < 30; ++cfg_trial) {
     const int n = static_cast<int>(rng.uniform_int(1, 16));
     const int w = static_cast<int>(rng.uniform_int(10, 34));
-    IpuConfig tcfg;
+    DatapathConfig tcfg;
     tcfg.n_inputs = n;
     tcfg.adder_tree_width = w;
     tcfg.software_precision = 58;
     tcfg.multi_cycle = true;
     tcfg.accumulator.frac_bits = 100;
     tcfg.accumulator.lossless = true;
-    SpatialIpuConfig scfg;
+    DatapathConfig scfg =
+        DatapathConfig::for_scheme(DecompositionScheme::kSpatial);
     scfg.n_inputs = n;
     scfg.adder_tree_width = w;
     scfg.software_precision = 58;
@@ -184,7 +185,9 @@ int fuzz_conv(GraphModel::Builder& b, Rng& rng, int& serial, int from, int cin,
   ConvSpec spec;
   spec.pad = (k - 1) / 2;
   FilterBank f = random_filters(rng, cout, cin, k, k, ValueDist::kNormal, 0.3);
-  return b.conv("n" + std::to_string(serial++), std::move(f), spec, from, relu);
+  std::string name = "n";
+  name += std::to_string(serial++);
+  return b.conv(name, std::move(f), spec, from, relu);
 }
 
 /// Deterministic-seed random DAG: a handful of structural steps, each a
@@ -358,7 +361,7 @@ TEST(FuzzDifferential, Fp8FormatsWorkThroughTheGenericMachinery) {
   static_assert(fp_nibble_count(kE4M3) == 1);
   static_assert(fp_nibble_count(kE5M2) == 1);
   Rng rng(0xF0025);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 16;
   cfg.adder_tree_width = 40;
   cfg.software_precision = 40;

@@ -50,7 +50,7 @@ TEST_P(IpuIntMode, BitExactAgainstInt64Reference) {
   const auto p = GetParam();
   Rng rng(static_cast<uint64_t>(p.a_bits * 131 + p.b_bits * 17 + p.a_unsigned * 3 +
                                 p.b_unsigned));
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 16;
   cfg.adder_tree_width = 12;  // INT mode must be exact even at tiny w
   Ipu ipu(cfg);
@@ -91,12 +91,15 @@ INSTANTIATE_TEST_SUITE_P(
                       IntModeParam{16, 8, false, false}, IntModeParam{16, 16, false, false}),
     [](const auto& inst) {
       const auto& p = inst.param;
-      return (p.a_unsigned ? "u" : "s") + std::to_string(p.a_bits) + "x" +
-             (p.b_unsigned ? "u" : "s") + std::to_string(p.b_bits);
+      std::string name = p.a_unsigned ? "u" : "s";
+      name += std::to_string(p.a_bits);
+      name += p.b_unsigned ? "xu" : "xs";
+      name += std::to_string(p.b_bits);
+      return name;
     });
 
 TEST(IpuIntMode, PaperExampleInt8xInt12TakesSixIterations) {
-  IpuConfig cfg;
+  DatapathConfig cfg;
   Ipu ipu(cfg);
   const std::vector<int32_t> a(16, 100), b(16, -1000);
   EXPECT_EQ(ipu.int_accumulate(a, b, 8, 12), 6);
@@ -110,7 +113,7 @@ TEST(IpuFpMode, WideSingleCycleIpuMatchesExactReferenceBitForBit) {
   // reproduce the exact FP-IP: the window never truncates (Proposition 1:
   // 58 < 80-9) and neither does the accumulator.
   Rng rng(101);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 16;
   cfg.adder_tree_width = 80;
   cfg.software_precision = 58;
@@ -124,9 +127,9 @@ TEST(IpuFpMode, WideSingleCycleIpuMatchesExactReferenceBitForBit) {
     ipu.fp_accumulate<kFp16Format>(a, b);
     const FixedPoint exact = exact_fp_inner_product<kFp16Format>(a, b);
     EXPECT_TRUE(ipu.read_raw() == exact) << "trial " << t;
-    EXPECT_EQ(ipu.read_fp<kFp32Format>().raw_bits(),
+    EXPECT_EQ(ipu.read_fp32().raw_bits(),
               Fp32::round_from_fixed(exact).raw_bits());
-    EXPECT_EQ(ipu.read_fp<kFp16Format>().raw_bits(),
+    EXPECT_EQ(ipu.read_fp16().raw_bits(),
               Fp16::round_from_fixed(exact).raw_bits());
   }
 }
@@ -138,7 +141,7 @@ TEST(IpuFpMode, McIpuIsLosslessForAnyAdderWidth) {
   // any w, even w = 12 << the 58-bit worst case.
   Rng rng(102);
   for (int w : {10, 12, 14, 16, 20, 28}) {
-    IpuConfig cfg;
+    DatapathConfig cfg;
     cfg.n_inputs = 8;
     cfg.adder_tree_width = w;
     cfg.software_precision = 58;
@@ -162,7 +165,7 @@ TEST(IpuFpMode, Proposition1SafeAlignmentsAreExact) {
   Rng rng(103);
   for (int w : {12, 16, 20, 28}) {
     const int sp = w - 9;
-    IpuConfig cfg;
+    DatapathConfig cfg;
     cfg.n_inputs = 16;
     cfg.adder_tree_width = w;
     cfg.software_precision = 58;
@@ -195,13 +198,13 @@ TEST(IpuFpMode, McAndSingleCycleAgreeWhenWindowCoversSoftwarePrecision) {
   // exactly (same masking, unbounded accumulator).
   Rng rng(104);
   const int P = 16;
-  IpuConfig sc_cfg;
+  DatapathConfig sc_cfg;
   sc_cfg.n_inputs = 8;
   sc_cfg.adder_tree_width = P + 10;
   sc_cfg.software_precision = P;
   sc_cfg.multi_cycle = false;
   sc_cfg.accumulator = unbounded_acc();
-  IpuConfig mc_cfg = sc_cfg;
+  DatapathConfig mc_cfg = sc_cfg;
   mc_cfg.adder_tree_width = 12;
   mc_cfg.multi_cycle = true;
   Ipu sc(sc_cfg), mc(mc_cfg);
@@ -217,11 +220,11 @@ TEST(IpuFpMode, McAndSingleCycleAgreeWhenWindowCoversSoftwarePrecision) {
 }
 
 TEST(IpuFpMode, ZeroVectorsGiveZero) {
-  IpuConfig cfg;
+  DatapathConfig cfg;
   Ipu ipu(cfg);
   const std::vector<Fp16> a(16, Fp16::zero()), b(16, Fp16::from_double(3.5));
   ipu.fp_accumulate<kFp16Format>(a, b);
-  EXPECT_EQ(ipu.read_fp<kFp16Format>().raw_bits(), Fp16::zero().raw_bits());
+  EXPECT_EQ(ipu.read_fp16().raw_bits(), Fp16::zero().raw_bits());
   EXPECT_TRUE(ipu.read_raw().is_zero());
 }
 
@@ -229,7 +232,7 @@ TEST(IpuFpMode, SingleProductIsAlwaysExactlyRepresented) {
   // n=1: no alignment at all; any IPU must return the exactly-rounded
   // product for every finite FP16 pair (sampled).
   Rng rng(105);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 1;
   cfg.adder_tree_width = 12;
   cfg.multi_cycle = true;
@@ -243,12 +246,12 @@ TEST(IpuFpMode, SingleProductIsAlwaysExactlyRepresented) {
     double expect = a[0].to_double() * b[0].to_double();
     // The accumulator has no signed-zero concept; a -0 product reads back +0.
     if (expect == 0.0) expect = 0.0;
-    EXPECT_EQ(ipu.read_fp<kFp32Format>().raw_bits(), Fp32::from_double(expect).raw_bits());
+    EXPECT_EQ(ipu.read_fp32().raw_bits(), Fp32::from_double(expect).raw_bits());
   }
 }
 
 TEST(IpuFpMode, SubnormalInputsHandledExactly) {
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 4;
   cfg.adder_tree_width = 80;
   cfg.software_precision = 58;
@@ -267,7 +270,7 @@ TEST(IpuFpMode, SubnormalInputsHandledExactly) {
 
 TEST(IpuFpMode, MultiOpAccumulationMatchesReference) {
   Rng rng(106);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 16;
   cfg.adder_tree_width = 80;
   cfg.software_precision = 58;
@@ -292,7 +295,7 @@ TEST(IpuFpMode, MultiOpAccumulationMatchesReference) {
 
 TEST(IpuCycles, SingleCycleIpuAlwaysNineCyclesPerFp16Op) {
   Rng rng(107);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 16;
   cfg.adder_tree_width = 16;
   cfg.software_precision = 16;
@@ -309,7 +312,7 @@ TEST(IpuCycles, McCyclesFollowMaxAlignment) {
   // Two products with alignment 0 and D: cycles = 9 * (D / sp + 1) while
   // D <= software precision; beyond that the big product is masked and we
   // are back to 9 cycles.
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 2;
   cfg.adder_tree_width = 14;  // sp = 5, as in Fig. 4
   cfg.software_precision = 28;
@@ -330,7 +333,7 @@ TEST(IpuCycles, McCyclesFollowMaxAlignment) {
 TEST(IpuCycles, SkipEmptyBandsAblation) {
   // Alignments {0, 15} with sp = 5: serve loop costs 4 cycles, the
   // skip-empty EHU only 2.
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 2;
   cfg.adder_tree_width = 14;
   cfg.software_precision = 28;
@@ -347,9 +350,9 @@ TEST(IpuCycles, SkipEmptyBandsAblation) {
   EXPECT_TRUE(plain.read_raw() == skipping.read_raw());
 }
 
-TEST(IpuStatsTest, CountersAccumulate) {
+TEST(IpuCountersTest, CountersAccumulate) {
   Rng rng(108);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 8;
   cfg.adder_tree_width = 12;
   cfg.software_precision = 28;
@@ -369,7 +372,7 @@ TEST(IpuStatsTest, CountersAccumulate) {
 
 TEST(IpuBf16, FourIterationsAndExactWideResult) {
   Rng rng(109);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 8;
   cfg.adder_tree_width = 80;
   cfg.software_precision = 120;  // BF16 products span a much wider range

@@ -25,7 +25,7 @@ namespace {
 
 ConvLayer simple_layer(int cin, int cout, int k, int hw) {
   ConvLayer l;
-  l.name = "L";
+  l.name = std::string("L");  // a move: GCC 12 misreports assign(const char*)
   l.cin = cin;
   l.cout = cout;
   l.kh = l.kw = k;

@@ -28,7 +28,7 @@ class PrecisionSweep : public ::testing::TestWithParam<SweepParam> {
   template <FpFormat AccF>
   double median_contamination(int w, int n, uint64_t seed) {
     Rng rng(seed);
-    IpuConfig cfg;
+    DatapathConfig cfg;
     cfg.n_inputs = n;
     cfg.adder_tree_width = w;
     cfg.software_precision = w;
@@ -76,8 +76,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(8, 12, 16, 20, 28, 33),
                        ::testing::Values(8, 16, 32)),
     [](const auto& inst) {
-      return "w" + std::to_string(std::get<0>(inst.param)) + "_n" +
-             std::to_string(std::get<1>(inst.param));
+      std::string name = "w";
+      name += std::to_string(std::get<0>(inst.param));
+      name += "_n";
+      name += std::to_string(std::get<1>(inst.param));
+      return name;
     });
 
 // --- MC/SC equivalence over the full grid --------------------------------------
@@ -91,14 +94,14 @@ TEST_P(McScEquivalence, McIpuEqualsWideSingleCycleAtSameSoftwarePrecision) {
   const auto [w, n] = GetParam();
   if (w - 9 < 1 || w > 28) GTEST_SKIP();
   const int P = 20;
-  IpuConfig mc;
+  DatapathConfig mc;
   mc.n_inputs = n;
   mc.adder_tree_width = w;
   mc.software_precision = P;
   mc.multi_cycle = true;
   mc.accumulator.frac_bits = 100;
   mc.accumulator.lossless = true;
-  IpuConfig sc = mc;
+  DatapathConfig sc = mc;
   sc.adder_tree_width = P + 10;
   sc.multi_cycle = false;
   Ipu mc_ipu(mc), sc_ipu(sc);
@@ -126,8 +129,11 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, McScEquivalence,
     ::testing::Combine(::testing::Values(10, 12, 16, 24, 28), ::testing::Values(4, 16)),
     [](const auto& inst) {
-      return "w" + std::to_string(std::get<0>(inst.param)) + "_n" +
-             std::to_string(std::get<1>(inst.param));
+      std::string name = "w";
+      name += std::to_string(std::get<0>(inst.param));
+      name += "_n";
+      name += std::to_string(std::get<1>(inst.param));
+      return name;
     });
 
 // --- Error scales as predicted by the window bound ------------------------------
@@ -138,7 +144,7 @@ TEST(PrecisionScaling, MeanErrorHalvesPerExtraWindowBit) {
   Rng rng(0xBEE);
   std::vector<double> means;
   for (int w : {10, 12, 14, 16, 18, 20}) {
-    IpuConfig cfg;
+    DatapathConfig cfg;
     cfg.n_inputs = 16;
     cfg.adder_tree_width = w;
     cfg.software_precision = w;

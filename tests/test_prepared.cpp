@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -120,68 +121,43 @@ TEST(PreparedEhu, ProductAlignmentsMatchesRunEhuStages) {
 
 // --- Datapath prepared vs per-op, all schemes x accumulation regimes --------
 
-/// Per-op reference driven through the original (template) entry points of
-/// the directly constructed scheme units.
+/// The scheme's per-op oracle (fp_accumulate: decode, decompose and serve
+/// each op from scratch), on a unit of the scheme's own class built
+/// directly from the config.
 struct PerOpRef {
-  std::function<void()> reset;
+  std::unique_ptr<Datapath> unit;
   std::function<int(std::span<const Fp16>, std::span<const Fp16>)> accumulate;
-  std::function<FixedPoint()> raw;
+
+  void reset() const { unit->reset_accumulator(); }
+  FixedPoint raw() const { return unit->read_raw(); }
 };
 
-// Scheme-config mappers mirroring make_datapath's (kept local: the wrapped
-// configs are an implementation detail of datapath.cpp).
-IpuConfig TemporalOnly(const DatapathConfig& cfg) {
-  IpuConfig c;
-  c.n_inputs = cfg.n_inputs;
-  c.adder_tree_width = cfg.effective_adder_tree_width();
-  c.software_precision = cfg.software_precision;
-  c.multi_cycle = cfg.multi_cycle;
-  c.skip_empty_bands = cfg.skip_empty_bands;
-  c.skip_zero_iterations = cfg.skip_zero_iterations;
-  return c;
-}
-
-SerialIpuConfig SerialOnly(const DatapathConfig& cfg) {
-  SerialIpuConfig c;
-  c.n_inputs = cfg.n_inputs;
-  c.adder_tree_width =
-      cfg.scheme == DecompositionScheme::kSerial ? cfg.effective_adder_tree_width() : 16;
-  c.software_precision = cfg.software_precision;
-  c.multi_cycle = cfg.multi_cycle;
-  return c;
-}
-
-SpatialIpuConfig SpatialOnly(const DatapathConfig& cfg) {
-  SpatialIpuConfig c;
-  c.n_inputs = cfg.n_inputs;
-  c.adder_tree_width = cfg.effective_adder_tree_width();
-  c.software_precision = cfg.software_precision;
-  c.multi_cycle = cfg.multi_cycle;
-  c.skip_empty_bands = cfg.skip_empty_bands;
-  return c;
-}
-
-PerOpRef make_ref(DecompositionScheme scheme, Ipu& ipu, SerialIpu& serial,
-                  SpatialIpu& spatial) {
-  switch (scheme) {
-    case DecompositionScheme::kTemporal:
-      return {[&] { ipu.reset_accumulator(); },
-              [&](std::span<const Fp16> a, std::span<const Fp16> b) {
-                return ipu.fp_accumulate<kFp16Format>(a, b);
-              },
-              [&] { return ipu.read_raw(); }};
-    case DecompositionScheme::kSerial:
-      return {[&] { serial.reset_accumulator(); },
-              [&](std::span<const Fp16> a, std::span<const Fp16> b) {
-                return serial.fp_accumulate(a, b);
-              },
-              [&] { return serial.read_raw(); }};
-    case DecompositionScheme::kSpatial:
-      return {[&] { spatial.reset_accumulator(); },
-              [&](std::span<const Fp16> a, std::span<const Fp16> b) {
-                return spatial.fp_accumulate<kFp16Format>(a, b);
-              },
-              [&] { return spatial.read_raw(); }};
+PerOpRef make_ref(const DatapathConfig& cfg) {
+  switch (cfg.scheme) {
+    case DecompositionScheme::kTemporal: {
+      auto ipu = std::make_unique<Ipu>(cfg);
+      Ipu* u = ipu.get();
+      return {std::move(ipu),
+              [u](std::span<const Fp16> a, std::span<const Fp16> b) {
+                return u->fp_accumulate<kFp16Format>(a, b);
+              }};
+    }
+    case DecompositionScheme::kSerial: {
+      auto serial = std::make_unique<SerialIpu>(cfg);
+      SerialIpu* u = serial.get();
+      return {std::move(serial),
+              [u](std::span<const Fp16> a, std::span<const Fp16> b) {
+                return u->fp_accumulate(a, b);
+              }};
+    }
+    case DecompositionScheme::kSpatial: {
+      auto spatial = std::make_unique<SpatialIpu>(cfg);
+      SpatialIpu* u = spatial.get();
+      return {std::move(spatial),
+              [u](std::span<const Fp16> a, std::span<const Fp16> b) {
+                return u->fp_accumulate<kFp16Format>(a, b);
+              }};
+    }
   }
   return {};
 }
@@ -193,11 +169,7 @@ TEST(PreparedDatapath, BitAndCycleIdenticalToPerOpAllSchemesBothRegimes) {
       for (int soft_prec : {16, 28}) {  // FP16- vs FP32-accumulation regime
         const DatapathConfig cfg = base_config(scheme, w, soft_prec);
         auto dp = make_datapath(cfg);
-
-        Ipu ipu(TemporalOnly(cfg));
-        SerialIpu serial(SerialOnly(cfg));
-        SpatialIpu spatial(SpatialOnly(cfg));
-        PerOpRef ref = make_ref(scheme, ipu, serial, spatial);
+        PerOpRef ref = make_ref(cfg);
 
         for (int t = 0; t < 150; ++t) {
           // Multi-op accumulation chains exercise the accumulator hand-off
@@ -236,7 +208,7 @@ TEST(PreparedDatapath, BitAndCycleIdenticalToPerOpAllSchemesBothRegimes) {
 
 TEST(PreparedDatapath, SkipZeroIterationsAblationMatchesTemplatePath) {
   Rng rng(24);
-  IpuConfig cfg;
+  DatapathConfig cfg;
   cfg.n_inputs = 16;
   cfg.adder_tree_width = 16;
   cfg.skip_zero_iterations = true;
@@ -263,10 +235,8 @@ TEST(PreparedDatapath, SkipZeroIterationsAblationMatchesTemplatePath) {
             template_path.stats().nibble_iterations);
   EXPECT_EQ(prepared_path.stats().masked_products,
             template_path.stats().masked_products);
-  EXPECT_EQ(prepared_path.stats().multi_cycle_iterations,
-            template_path.stats().multi_cycle_iterations);
-  EXPECT_EQ(prepared_path.stats().max_alignment_seen,
-            template_path.stats().max_alignment_seen);
+  EXPECT_EQ(prepared_path.stats().multi_cycle_ops,
+            template_path.stats().multi_cycle_ops);
 }
 
 // --- INT mode ----------------------------------------------------------------
@@ -279,8 +249,11 @@ TEST(PreparedDatapath, IntPreparedMatchesPerOpTemporalAndSerial) {
       DatapathConfig cfg = base_config(scheme, 16, 28);
       cfg.skip_zero_iterations = skip_zero;
       auto dp = make_datapath(cfg);
-      Ipu ipu(TemporalOnly(cfg));
-      SerialIpu serial(SerialOnly(cfg));
+      // Temporal: Ipu's per-op INT oracle on the same config.
+      std::unique_ptr<Ipu> ipu;
+      if (scheme == DecompositionScheme::kTemporal) {
+        ipu = std::make_unique<Ipu>(cfg);
+      }
       for (int t = 0; t < 300; ++t) {
         std::vector<int32_t> a, b;
         for (int k = 0; k < 16; ++k) {
@@ -300,16 +273,16 @@ TEST(PreparedDatapath, IntPreparedMatchesPerOpTemporalAndSerial) {
         int cr;
         int64_t ref_val;
         if (scheme == DecompositionScheme::kTemporal) {
-          ipu.reset_accumulator();
-          cr = ipu.int_accumulate(a, b, 8, 8);
-          ref_val = ipu.read_int();
+          ipu->reset_accumulator();
+          cr = ipu->int_accumulate(a, b, 8, 8);
+          ref_val = ipu->read_int();
         } else {
-          serial.reset_accumulator();
-          cr = serial.int_accumulate(a, b, 12, 8);
-          ref_val = serial.read_int();
+          // INT mode is exact, and the serial unit charges b_bits cycles
+          // regardless of a_bits.
+          cr = 8;
+          ref_val = exact_int_inner_product(a, b);
         }
         if (scheme == DecompositionScheme::kSerial) {
-          // The serial unit charges b_bits cycles regardless of a_bits.
           EXPECT_EQ(cp, cr) << t;
         } else {
           EXPECT_EQ(cp, cr) << "skip_zero=" << skip_zero << " trial " << t;
@@ -408,10 +381,7 @@ TEST(PreparedConv, BorderClipClassesAndStridesMatchPerOpAllSchemes) {
     for (auto scheme : kAllSchemes) {
       for (AccumKind accum : {AccumKind::kFp16, AccumKind::kFp32}) {
         const DatapathConfig cfg = base_config(scheme, 16, 28);
-        Ipu ipu(TemporalOnly(cfg));
-        SerialIpu serial(SerialOnly(cfg));
-        SpatialIpu spatial(SpatialOnly(cfg));
-        PerOpRef ref = make_ref(scheme, ipu, serial, spatial);
+        PerOpRef ref = make_ref(cfg);
         auto read_out = [&]() {
           const FixedPoint raw = ref.raw();
           return accum == AccumKind::kFp16
@@ -458,10 +428,7 @@ TEST(PreparedConv, SparseAblationConvMatchesPerOp) {
   DatapathConfig cfg = base_config(DecompositionScheme::kTemporal, 16, 28);
   cfg.skip_zero_iterations = true;
 
-  Ipu ipu(TemporalOnly(cfg));
-  SerialIpu serial(SerialOnly(cfg));
-  SpatialIpu spatial(SpatialOnly(cfg));
-  PerOpRef ref = make_ref(cfg.scheme, ipu, serial, spatial);
+  PerOpRef ref = make_ref(cfg);
   int64_t ref_cycles = 0;
   const Tensor expect = per_op_conv_fp16(
       ref, [&] { return Fp32::round_from_fixed(ref.raw()).to_double(); },
@@ -475,10 +442,11 @@ TEST(PreparedConv, SparseAblationConvMatchesPerOp) {
       EXPECT_EQ(run.output.data[i], expect.data[i]) << threads << " " << i;
     }
     EXPECT_EQ(run.totals.cycles, ref_cycles) << threads;
-    EXPECT_EQ(run.totals.skipped_iterations, ipu.stats().skipped_iterations)
+    EXPECT_EQ(run.totals.skipped_iterations,
+              ref.unit->stats().skipped_iterations)
         << threads;
   }
-  EXPECT_GT(ipu.stats().skipped_iterations, 0);
+  EXPECT_GT(ref.unit->stats().skipped_iterations, 0);
 }
 
 TEST(PreparedConv, IntConvMatchesPerOpQuantizedLoop) {
@@ -502,13 +470,16 @@ TEST(PreparedConv, IntConvMatchesPerOpQuantizedLoop) {
       const DatapathConfig cfg = base_config(scheme, 16, 28);
 
       // Per-op reference: quantize once, gather per pixel, INT-accumulate per
-      // op through the direct units.
+      // op through Ipu's per-op oracle (temporal) or the exact integer inner
+      // product at b_bits cycles an op (serial).
       const QuantParams qa = fit_symmetric(input.data, 8);
       const QuantParams qw = fit_symmetric(filters.data, 8);
       const std::vector<int32_t> in_q = quantize(input.data, qa);
       const std::vector<int32_t> flt_q = quantize(filters.data, qw);
-      Ipu ipu(TemporalOnly(cfg));
-      SerialIpu serial(SerialOnly(cfg));
+      const bool temporal = scheme == DecompositionScheme::kTemporal;
+      std::unique_ptr<Ipu> ipu;
+      if (temporal) ipu = std::make_unique<Ipu>(cfg);
+      int64_t serial_ops = 0;
       const int ho = spec.out_dim(input.h, filters.kh);
       const int wo = spec.out_dim(input.w, filters.kw);
       Tensor expect(filters.cout, ho, wo);
@@ -552,14 +523,13 @@ TEST(PreparedConv, IntConvMatchesPerOpQuantizedLoop) {
                   static_cast<size_t>(c0), chunk);
               const auto sb = std::span<const int32_t>(pb).subspan(
                   static_cast<size_t>(c0), chunk);
-              if (scheme == DecompositionScheme::kTemporal) {
-                ipu.reset_accumulator();
-                ipu.int_accumulate(sa, sb, 8, 8);
-                acc += ipu.read_int();
+              if (temporal) {
+                ipu->reset_accumulator();
+                ipu->int_accumulate(sa, sb, 8, 8);
+                acc += ipu->read_int();
               } else {
-                serial.reset_accumulator();
-                serial.int_accumulate(sa, sb, 8, 8);
-                acc += serial.read_int();
+                acc += exact_int_inner_product(sa, sb);
+                ++serial_ops;
               }
             }
             expect.at(co, y, x) = dequantize_accumulator(acc, qa, qw);
@@ -567,11 +537,9 @@ TEST(PreparedConv, IntConvMatchesPerOpQuantizedLoop) {
         }
       }
 
-      const bool temporal = scheme == DecompositionScheme::kTemporal;
-      const int64_t ref_ops =
-          temporal ? ipu.stats().int_ops : serial.stats().int_ops;
+      const int64_t ref_ops = temporal ? ipu->stats().int_ops : serial_ops;
       const int64_t ref_cycles =
-          temporal ? ipu.stats().cycles : serial.stats().cycles;
+          temporal ? ipu->stats().cycles : 8 * serial_ops;
       for (int threads : {1, 3, 5}) {
         const RunReport run = run_single_conv(
             input, filters, spec, cfg, LayerPrecision::int_bits(8, 8), threads);
@@ -596,7 +564,7 @@ TEST(PreparedPlanes, GatherMatchesDirectPreparation) {
   Rng rng(29);
   const auto pool = random_fp16_bits(rng, 256);
   PreparedFp16 planes(pool);
-  Ipu a_path{IpuConfig{}}, b_path{IpuConfig{}};
+  Ipu a_path{DatapathConfig{}}, b_path{DatapathConfig{}};
   for (int t = 0; t < 200; ++t) {
     std::vector<int32_t> rel;
     std::vector<Fp16> direct;

@@ -366,6 +366,17 @@ TEST(ServingRuntime, LoadRejectsInvalidConvSpecWithoutCaching) {
   EXPECT_EQ(rt.loaded_count(), 0u);
   EXPECT_NO_THROW(rt.load(fast_model(rng), 8, 8));
   EXPECT_EQ(rt.loaded_count(), 1u);
+
+  // A datapath with fewer than one input lane used to be cached here and
+  // crash a worker at the first request; load must reject it and cache
+  // nothing.
+  for (int n : {0, -1}) {
+    RunSpec no_lanes = serving_spec();
+    no_lanes.datapath.n_inputs = n;
+    ServingRuntime bad(no_lanes);
+    EXPECT_THROW(bad.load(fast_model(rng), 8, 8), std::invalid_argument) << n;
+    EXPECT_EQ(bad.loaded_count(), 0u) << n;
+  }
 }
 
 TEST(ServingRuntime, MetricsJsonHasTheContractKeys) {

@@ -143,7 +143,7 @@ TEST(SessionRun, ThreadCountInvariantTensorsAndStats) {
   }
 }
 
-TEST(SessionRun, RejectsIntLayerOnSpatialDatapath) {
+TEST(SessionRun, RejectsIntLayerOnSpatialScheme) {
   Rng rng(23);
   const GraphModel model = tiny_model(rng);
   const Tensor input = random_tensor(rng, 3, 8, 8, ValueDist::kHalfNormal, 1.0);

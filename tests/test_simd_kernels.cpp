@@ -238,7 +238,9 @@ TEST(SimdKernels, NibbleFused3x3MatchesScalar) {
         for (int i = 0; i < 9 * simd::kMaxBands; ++i) {
           EXPECT_EQ(s_s[i], s_v[i]) << "slot " << i << " n=" << n;
         }
-        if (zero_planes) EXPECT_EQ(nz_s, 0u);
+        if (zero_planes) {
+          EXPECT_EQ(nz_s, 0u);
+        }
       }
     }
   }

@@ -12,8 +12,8 @@
 namespace mpipu {
 namespace {
 
-IpuConfig base_cfg(bool skip) {
-  IpuConfig cfg;
+DatapathConfig base_cfg(bool skip) {
+  DatapathConfig cfg;
   cfg.n_inputs = 16;
   cfg.adder_tree_width = 16;
   cfg.software_precision = 28;
@@ -70,7 +70,7 @@ TEST(SparseSkip, PowerOfTwoValuesSkipLowNibbles) {
   const std::vector<Fp16> a(16, Fp16::one()), b(16, Fp16::from_double(2.0));
   EXPECT_EQ(ipu.fp_accumulate<kFp16Format>(a, b), 1);
   EXPECT_EQ(ipu.stats().skipped_iterations, 8);
-  EXPECT_EQ(ipu.read_fp<kFp32Format>().to_double(), 32.0);
+  EXPECT_EQ(ipu.read_fp32().to_double(), 32.0);
 }
 
 TEST(SparseSkip, IntModeSkipsZeroNibbles) {
@@ -93,7 +93,7 @@ TEST(SparseSkip, IntModeSkipsZeroNibbles) {
 
 TEST(SparseSkip, IntModeValuesUnchangedUnderRandomSparsity) {
   Rng rng(73);
-  IpuConfig cfg = base_cfg(true);
+  DatapathConfig cfg = base_cfg(true);
   Ipu ipu(cfg);
   for (int t = 0; t < 1000; ++t) {
     ipu.reset_accumulator();

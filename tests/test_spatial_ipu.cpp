@@ -38,7 +38,8 @@ TEST(SpatialIpu, LosslessForAnyAdderWidth) {
   // loses nothing with an unbounded accumulator.
   Rng rng(301);
   for (int w : {10, 12, 16, 28, 40}) {
-    SpatialIpuConfig cfg;
+    DatapathConfig cfg =
+        DatapathConfig::for_scheme(DecompositionScheme::kSpatial);
     cfg.n_inputs = 8;
     cfg.adder_tree_width = w;
     cfg.software_precision = 58;
@@ -60,13 +61,14 @@ TEST(SpatialIpu, AgreesWithTemporalIpuBitForBit) {
   // Temporal and spatial decompositions of the same arithmetic: identical
   // results when both are lossless.
   Rng rng(302);
-  SpatialIpuConfig scfg;
+  DatapathConfig scfg =
+      DatapathConfig::for_scheme(DecompositionScheme::kSpatial);
   scfg.n_inputs = 16;
   scfg.adder_tree_width = 16;
   scfg.software_precision = 28;
   scfg.accumulator = unbounded_acc();
   SpatialIpu spatial(scfg);
-  IpuConfig tcfg;
+  DatapathConfig tcfg;
   tcfg.n_inputs = 16;
   tcfg.adder_tree_width = 16;
   tcfg.software_precision = 28;
@@ -87,7 +89,8 @@ TEST(SpatialIpu, AgreesWithTemporalIpuBitForBit) {
 TEST(SpatialIpu, ConcentratedExponentsFinishInOneCycleAtWideTrees) {
   // With w = 28 (sp = 19), the nibble-significance span (14) plus small
   // alignments fits one band: single cycle -- 9x temporal throughput.
-  SpatialIpuConfig cfg;
+  DatapathConfig cfg =
+      DatapathConfig::for_scheme(DecompositionScheme::kSpatial);
   cfg.n_inputs = 16;
   cfg.adder_tree_width = 28;
   cfg.software_precision = 28;
@@ -105,7 +108,8 @@ TEST(SpatialIpu, NarrowTreesMultiCycleEvenWhenAligned) {
   // With w = 16 (sp = 7) the 14-bit significance span alone needs 3 bands:
   // the spatial design needs wider trees than the temporal one -- the
   // area/width trade-off between the two schemes.
-  SpatialIpuConfig cfg;
+  DatapathConfig cfg =
+      DatapathConfig::for_scheme(DecompositionScheme::kSpatial);
   cfg.n_inputs = 4;
   cfg.adder_tree_width = 16;
   cfg.software_precision = 28;
@@ -117,7 +121,8 @@ TEST(SpatialIpu, NarrowTreesMultiCycleEvenWhenAligned) {
 }
 
 TEST(SpatialIpu, CyclesGrowWithAlignmentSpread) {
-  SpatialIpuConfig cfg;
+  DatapathConfig cfg =
+      DatapathConfig::for_scheme(DecompositionScheme::kSpatial);
   cfg.n_inputs = 2;
   cfg.adder_tree_width = 28;  // sp = 19
   cfg.software_precision = 28;
@@ -137,7 +142,8 @@ TEST(SpatialIpu, CyclesGrowWithAlignmentSpread) {
 
 TEST(SpatialIpu, Bf16FourLanesExact) {
   Rng rng(304);
-  SpatialIpuConfig cfg;
+  DatapathConfig cfg =
+      DatapathConfig::for_scheme(DecompositionScheme::kSpatial);
   cfg.n_inputs = 8;
   cfg.adder_tree_width = 30;
   cfg.software_precision = 40;

@@ -55,7 +55,7 @@ TEST(Tile, BaselinesAreSingleCycle38Bit) {
   EXPECT_EQ(b2.total_multipliers(), 4096);
 }
 
-TEST(Tile, IpuConfigInheritsGeometry) {
+TEST(Tile, DatapathConfigInheritsGeometry) {
   const TileConfig t = big_tile(20, 28, 8);
   EXPECT_EQ(t.datapath.n_inputs, t.c_unroll);
   EXPECT_EQ(t.datapath.adder_tree_width, 20);
